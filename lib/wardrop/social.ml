@@ -8,25 +8,12 @@ let cost inst f =
     fe;
   !acc
 
-let marginal_gradient inst f =
-  let fe = Flow.edge_flows inst f in
-  let marg =
-    Array.mapi
-      (fun e load ->
-        let l = Instance.latency inst e in
-        Latency.eval l load +. (load *. Latency.deriv l load))
-      fe
-  in
-  Array.init (Instance.path_count inst) (fun p ->
-      Array.fold_left
-        (fun acc e -> acc +. marg.(e))
-        0.
-        (Instance.path_edges inst p))
-
+(* [optimum] minimises the same [x ℓ(x)] per edge that [cost] sums, with
+   slope [ℓ + x ℓ'] — the marginal cost whose path sums are [∂C/∂f_P]. *)
 let optimum ?max_iter ?tol inst =
   Frank_wolfe.minimize ?max_iter ?tol
-    ~objective:(fun f -> cost inst f)
-    ~gradient:(fun f -> marginal_gradient inst f)
+    ~term:(fun l load -> load *. Latency.eval l load)
+    ~slope:(fun l load -> Latency.eval l load +. (load *. Latency.deriv l load))
     inst
 
 let price_of_anarchy ?max_iter ?tol inst =
