@@ -35,6 +35,7 @@ let minimize ?(max_iter = 10_000) ?(tol = 1e-8) ~term ~slope inst =
   (* Edges on a path with [d <> 0]: the only loads a pairwise step moves. *)
   let moved = Array.make m false and moved_edges = Array.make m 0 in
   let n_moved = ref 0 in
+  (* [cost] with the moved edges' terms taken at the trial step. *)
   let pair_cost = Array.make m 0. in
   let trial = Array.make m 0. and trial_cost = Array.make m 0. in
   let sum_costs costs =

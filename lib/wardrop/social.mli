@@ -10,8 +10,11 @@ val cost : Instance.t -> Flow.t -> float
 (** [C(f) = Σ_e f_e · ℓ_e(f_e)] (equals [Σ_P f_P ℓ_P]). *)
 
 val optimum : ?max_iter:int -> ?tol:float -> Instance.t -> Frank_wolfe.result
-(** System optimum: minimises [C] by Frank–Wolfe with the marginal-cost
-    gradient [∂C/∂f_P = Σ_{e∈P} (ℓ_e(f_e) + f_e ℓ'_e(f_e))]. *)
+(** System optimum: minimises [C] by {!Frank_wolfe.minimize} with the
+    per-edge term [x ℓ_e(x)] (the expression {!cost} sums, so the
+    reported objective is bitwise [cost] of the returned flow) and slope
+    [ℓ_e(x) + x ℓ'_e(x)], whose path sums are the marginal-cost gradient
+    [∂C/∂f_P = Σ_{e∈P} (ℓ_e(f_e) + f_e ℓ'_e(f_e))]. *)
 
 val price_of_anarchy : ?max_iter:int -> ?tol:float -> Instance.t -> float
 (** [C(wardrop) / C(optimum)].  Returns 1 when both costs are zero. *)
