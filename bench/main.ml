@@ -225,18 +225,6 @@ let with_metrics = ref false
    makes no determinism promise about the profile table itself. *)
 let with_profile = ref false
 
-(* The one wall-clock-derived metric ("kernel_build_ns") is dropped
-   from the bench snapshot: everything the bench prints is then a pure
-   function of simulated state, so metrics-mode output is byte-stable
-   across runs and across -j. *)
-let deterministic_snapshot snapshot =
-  List.filter
-    (fun (name, _) ->
-      not
-        (String.length name >= 3
-        && String.sub name (String.length name - 3) 3 = "_ns"))
-    snapshot
-
 (* Render one experiment to a string.  Runs entirely inside the calling
    domain; ambient instrumentation is domain-local, so concurrent
    experiments on other domains keep their own registries. *)
@@ -260,7 +248,7 @@ let run_experiment ~quick ~pool name =
           buffer_tables out
             [
               Metrics.to_table ~title:(name ^ " metrics")
-                (deterministic_snapshot (Metrics.snapshot metrics));
+                (Metrics.snapshot metrics);
             ];
         if !with_profile then
           buffer_tables out [ Span.to_table (Span.profile spans) ]

@@ -38,284 +38,67 @@ let step inst policy ~board f =
   step_kernel inst (Rate_kernel.build inst policy ~board) f
 
 let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
-    ?(faults = Faults.plan Faults.none) ?guard ?colgen inst config ~init =
-  if config.rounds < 0 then invalid_arg "Discrete.run: negative rounds";
-  if config.rounds_per_update < 1 then
-    invalid_arg "Discrete.run: rounds_per_update < 1";
-  if not (Flow.is_feasible inst init) then
-    invalid_arg "Discrete.run: infeasible initial flow";
-  (match colgen with
-  | Some cg when not (Path_pool.instance cg == inst) ->
-      invalid_arg
-        "Discrete.run: colgen pool was seeded over a different instance"
-  | _ -> ());
-  let inst_r = ref inst in
-  let reposts = Metrics.counter metrics "board_reposts" in
-  (* Dirty-work of delta reposts — metrics only, never events. *)
-  let repost_edges = Metrics.counter metrics "repost_dirty_edges" in
-  let repost_paths = Metrics.counter metrics "repost_dirty_paths" in
-  let rebuilds = Metrics.counter metrics "kernel_rebuilds" in
-  (* Persistent repost scratch — one per run, never shared across
-     domains. *)
-  let delta = Bulletin_board.delta () in
+    ?faults ?guard ?colgen inst config ~init =
+  let b, f0 =
+    Boundary.create ~probe ~metrics ~spans ?faults ?guard ?colgen
+      ~who:"Discrete.run" ~phases:config.rounds
+      ~steps:config.rounds_per_update inst config.policy ~init
+  in
   let m_rounds = Metrics.counter metrics "rounds" in
-  let grown_c =
-    Metrics.counter
-      (match colgen with Some _ -> metrics | None -> Metrics.null)
-      "paths_grown"
-  in
-  let faults_c =
-    Metrics.counter
-      (if Faults.is_null faults then Metrics.null else metrics)
-      "faults_injected"
-  in
-  let guard_repairs =
-    Option.map (fun _ -> Metrics.counter metrics "guard_repairs") guard
-  in
-  let sp0 = Span.enter spans "project" in
-  let f = ref (Flow.project inst init) in
-  Span.exit spans sp0;
-  (* Outage chain, keyed by update attempt like the board faults; the
-     down-set entering attempt 0 is recomputed purely. *)
-  let outage =
-    Faults.outage_start faults
-      ~edges:(Staleroute_graph.Digraph.edge_count (Instance.graph inst))
-      ~phase:0
-  in
-  (* The live down-set, refreshed at each update attempt; interior
-     rounds (including a delayed post's landing) reuse it. *)
-  let down = ref None in
-  let emit_fault ~time ~index fault =
-    let kind, arg =
-      match fault with
-      | Faults.Drop -> ("drop", 0.)
-      | Faults.Delay f -> ("delay", f)
-      | Faults.Partial p -> ("partial", p)
-      | Faults.Noise s -> ("noise", s)
-    in
-    if Probe.enabled probe then
-      Probe.emit probe (Probe.Fault_injected { time; index; kind; arg });
-    Metrics.incr faults_c
-  in
-  let announce_and_compile ?prev ?changed ~time board =
-    if Probe.enabled probe then Probe.emit probe (Probe.Board_repost { time });
-    Metrics.incr reposts;
-    let sp =
-      Span.enter spans
-        (match prev with Some _ -> "kernel_update" | None -> "kernel_build")
-    in
-    let kernel =
-      (* Incremental recompile when a previous kernel is live — bitwise
-         identical to a fresh [build] (see {!Rate_kernel.update}). *)
-      match prev with
-      | Some k -> Rate_kernel.update ?changed k ~board
-      | None -> Rate_kernel.build !inst_r config.policy ~board
-    in
-    Span.exit spans sp;
-    if Probe.enabled probe then
-      Probe.emit probe (Probe.Kernel_rebuild { time });
-    Metrics.incr rebuilds;
-    (board, kernel)
-  in
-  (* Account the delta scratch's dirty-work counts and hand the changed
-     set to the kernel update — shared tail of every repost path. *)
-  let after_repost () =
-    Metrics.incr ~by:(Bulletin_board.dirty_edges delta) repost_edges;
-    Metrics.incr ~by:(Bulletin_board.dirty_paths delta) repost_paths;
-    (Bulletin_board.changed_paths delta, Bulletin_board.changed_count delta)
-  in
-  let post ?prev time =
-    match prev with
-    | Some (pb, pk) ->
-        let sp = Span.enter spans "board_repost" in
-        let board =
-          match !down with
-          | None -> Bulletin_board.repost ~delta !inst_r ~prev:pb ~time !f
-          | Some dn ->
-              Bulletin_board.repost_with ~delta !inst_r ~prev:pb ~time ~flow:!f
-                ~edge_latencies:(Faults.dead_edge_latencies !inst_r ~down:dn !f)
-        in
-        Span.exit spans sp;
-        let changed = after_repost () in
-        announce_and_compile ~prev:pk ~changed ~time board
-    | None ->
-        let sp = Span.enter spans "board_post" in
-        let board =
-          match !down with
-          | None -> Bulletin_board.post !inst_r ~time !f
-          | Some dn ->
-              Bulletin_board.post_with !inst_r ~time ~flow:!f
-                ~edge_latencies:(Faults.dead_edge_latencies !inst_r ~down:dn !f)
-        in
-        Span.exit spans sp;
-        announce_and_compile ~time board
-  in
+  let f = ref f0 in
   (* The compiled kernel lives as long as its board post — which under
      fault injection can span several update periods (dropped re-posts
-     keep the old board, and its kernel stays legitimately current). *)
-  let posted = ref (post 0.) in
-  (* Column-generation boundary check, mirroring [Driver]: price the
-     live posting once per update attempt (against the surviving old
-     board under a dropped/delayed re-post). *)
-  let try_grow ~index ~time =
-    match colgen with
-    | None -> ()
-    | Some cg -> (
-        let inst = !inst_r in
-        let board, kernel = !posted in
-        let sp = Span.enter spans "colgen_price" in
-        (* Price over alive edges only: dead edges go to [infinity] so
-           Dijkstra never admits a detour across one. *)
-        let pricing_latencies =
-          match !down with
-          | None -> board.Bulletin_board.edge_latencies
-          | Some dn ->
-              Faults.alive_latencies ~down:dn
-                board.Bulletin_board.edge_latencies
-        in
-        let grown_set =
-          Path_pool.grow cg inst ~edge_latencies:pricing_latencies
-        in
-        Span.exit spans sp;
-        match grown_set with
-        | None -> ()
-        | Some (inst', adds) ->
-            let n0 = Instance.path_count inst in
-            let n' = Instance.path_count inst' in
-            if Probe.enabled probe then
-              List.iteri
-                (fun i (a : Path_pool.growth) ->
-                  Probe.emit probe
-                    (Probe.Path_growth
-                       {
-                         time;
-                         index;
-                         commodity = a.commodity;
-                         cost = a.cost;
-                         incumbent = a.incumbent;
-                         path_count = n0 + i + 1;
-                       }))
-                adds;
-            Metrics.incr ~by:(List.length adds) grown_c;
-            if Probe.enabled probe then
-              Probe.emit probe (Probe.Board_repost { time });
-            Metrics.incr reposts;
-            let board' = Bulletin_board.repost_grown inst' ~prev:board in
-            let sp = Span.enter spans "kernel_grow" in
-            let kernel' = Rate_kernel.grow kernel inst' ~board:board' in
-            Span.exit spans sp;
-            if Probe.enabled probe then
-              Probe.emit probe (Probe.Kernel_rebuild { time });
-            Metrics.incr rebuilds;
-            assert (Rate_kernel.is_current kernel' ~board:board');
-            inst_r := inst';
-            posted := (board', kernel');
-            f := Vec.extend !f ~dim:n')
-  in
+     keep the old board, and its kernel stays legitimately current).
+     The round-0 post comes before the first update attempt, so attempt
+     0 always has a previous board to lean on. *)
+  Boundary.post b ~time:0. !f;
   (* Round index where a delayed re-post lands. *)
   let pending = ref None in
   let records = ref [] in
   for k = 0 to config.rounds - 1 do
     let time = float_of_int k in
     if k mod config.rounds_per_update = 0 then begin
-      (* Update attempt [u]; faults are keyed by it, so the plan is
-         independent of [rounds_per_update] granularity. *)
-      let u = k / config.rounds_per_update in
-      (* Outage boundary: advance the edge chains, evacuate flow off
-         dead paths before anything is posted or stepped.  Under a
-         subsequent [Drop] the surviving old board still shows dead
+      (* Update attempt [u]; faults and outages are keyed by it, so the
+         plan is independent of [rounds_per_update] granularity.  Under
+         a subsequent [Drop] the surviving old board still shows dead
          edges alive, so re-evacuation at every attempt while the
-         down-set is non-empty is load-bearing. *)
-      (match outage with
-      | None -> ()
-      | Some st ->
-          Faults.outage_step st ~phase:u ~on_change:(fun ~edge ~down ->
-              if Probe.enabled probe then
-                Probe.emit probe
-                  (if down then Probe.Edge_down { time; index = u; edge }
-                   else Probe.Edge_up { time; index = u; edge });
-              Metrics.incr faults_c);
-          down :=
-            (match Faults.outage_down st with
-            | None -> None
-            | Some dn ->
-                let inst = !inst_r in
-                let partitioned =
-                  Flow.evacuate inst ~dead:(Faults.path_dead inst ~down:dn) !f
-                in
-                Guard.check_partition ?guard ~probe inst ~index:u ~time
-                  partitioned;
-                Some dn));
-      let fault = Faults.fault_at faults ~index:u in
-      match fault with
-      | Some Faults.Drop -> emit_fault ~time ~index:u Faults.Drop
-      | Some (Faults.Delay fraction as fault) ->
-          (* Lands on the round grid, a fraction of the update period
-             late; with one round per update there is no interior round
-             and the delay collapses to a drop. *)
-          emit_fault ~time ~index:u fault;
-          if config.rounds_per_update >= 2 then begin
-            let rpu = config.rounds_per_update in
-            let ideal =
-              int_of_float (Float.round (fraction *. float_of_int rpu))
-            in
-            pending := Some (k + max 1 (min (rpu - 1) ideal))
-          end
-      | fault ->
-          let prev = Some (fst !posted) in
-          (match fault with
-          | Some fault -> emit_fault ~time ~index:u fault
-          | None -> ());
-          let sp = Span.enter spans "board_repost" in
-          let board =
-            Faults.board ~delta ?down:!down faults ~index:u fault !inst_r ~time
-              ~prev !f
-          in
-          Span.exit spans sp;
-          let changed = after_repost () in
-          posted :=
-            announce_and_compile ~prev:(snd !posted) ~changed ~time board
+         down-set is non-empty is load-bearing.  A delayed re-post lands
+         on the round grid, a fraction of the update period late. *)
+      let u = k / config.rounds_per_update in
+      Boundary.outage b ~index:u ~time !f;
+      (match
+         Boundary.attempt b ~index:u ~time ~slots:config.rounds_per_update !f
+       with
+      | Delayed s -> pending := Some (k + s)
+      | Posted | Kept -> ());
+      f := Boundary.grow b ~index:u ~time !f
     end;
-    if k mod config.rounds_per_update = 0 then
-      try_grow ~index:(k / config.rounds_per_update) ~time;
     if !pending = Some k then begin
       pending := None;
-      posted := post ~prev:!posted time
+      Boundary.post b ~time !f
     end;
-    let board, kernel = !posted in
-    assert (Rate_kernel.is_current kernel ~board);
-    ignore board;
-    let start_potential = Potential.phi !inst_r !f in
+    let kernel = Boundary.kernel b in
+    let start_potential = Potential.phi (Boundary.instance b) !f in
     if Probe.enabled probe then
       Probe.emit probe (Probe.Round { index = k; potential = start_potential });
     Metrics.incr m_rounds;
     records :=
       { index = k; start_flow = Vec.copy !f; start_potential } :: !records;
     let sp = Span.enter spans "round_step" in
-    f := step_kernel !inst_r kernel !f;
+    f := step_kernel (Boundary.instance b) kernel !f;
     Span.exit spans sp;
-    match guard with
-    | Some gd ->
-        Span.record spans "guard_check" (fun () ->
-            Guard.check gd ~probe ?repairs:guard_repairs !inst_r ~index:k
-              ~time:(float_of_int (k + 1))
-              !f)
-    | None -> ()
+    Boundary.guard_check b ~index:k ~time:(float_of_int (k + 1)) !f
   done;
-  let final_instance = !inst_r in
-  let records = Array.of_list (List.rev !records) in
+  let final_instance = Boundary.instance b in
   (* Normalize every record to the final active dimension (exact —
      grown columns carried zero flow before admission), mirroring
      [Driver.run]. *)
-  (if Option.is_some colgen then
-     let final_dim = Instance.path_count final_instance in
-     Array.iteri
-       (fun i r ->
-         if Vec.dim r.start_flow < final_dim then
-           records.(i) <- { r with start_flow = Vec.extend r.start_flow ~dim:final_dim })
-       records);
   {
-    records;
+    records =
+      Array.of_list
+        (List.rev_map
+           (fun r -> { r with start_flow = Boundary.widen b r.start_flow })
+           !records);
     final_flow = !f;
     final_potential = Potential.phi final_instance !f;
     final_instance;

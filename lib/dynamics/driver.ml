@@ -40,7 +40,7 @@ type result = {
   final_instance : Instance.t;
 }
 
-type board_state = {
+type board_state = Boundary.board_state = {
   posted_at : float;
   board_flow : Flow.t;
   board_latencies : float array;
@@ -61,498 +61,113 @@ let phase_length config =
       if t <= 0. then invalid_arg "Driver: update period must be positive";
       t
 
-(* Instrument handles, resolved once per run so the per-phase cost of
-   disabled metrics is a liveness branch. *)
-type instruments = {
-  probe : Probe.t;
-  spans : Span.recorder;
-  reposts : Metrics.counter;
-  repost_edges : Metrics.counter;
-  repost_paths : Metrics.counter;
-  rebuilds : Metrics.counter;
-  derivs : Metrics.counter;
-  build_ns : Metrics.histogram;
-  faults_c : Metrics.counter;
-}
-
-let instruments probe spans metrics ~faults =
-  {
-    probe;
-    spans;
-    reposts = Metrics.counter metrics "board_reposts";
-    (* Dirty-work of delta reposts: how many edge latencies were
-       re-evaluated / path latencies recomputed.  Metrics only, never
-       events — trace byte-identity surfaces are untouched. *)
-    repost_edges = Metrics.counter metrics "repost_dirty_edges";
-    repost_paths = Metrics.counter metrics "repost_dirty_paths";
-    rebuilds = Metrics.counter metrics "kernel_rebuilds";
-    derivs = Metrics.counter metrics "derivative_evals";
-    build_ns = Metrics.histogram metrics "kernel_build_ns";
-    (* Fault-free runs keep their metric snapshot exactly as before the
-       fault layer existed. *)
-    faults_c =
-      Metrics.counter
-        (if Faults.is_null faults then Metrics.null else metrics)
-        "faults_injected";
-  }
-
-(* The live posting: a board and the kernel compiled against it.  With
-   fault injection a posting can outlive its phase (a dropped re-post
-   keeps the old board — and its kernel stays legitimately current,
-   because the board did not change). *)
-type live = { board : Bulletin_board.t; kernel : Rate_kernel.t }
-
-let board_state l =
-  {
-    posted_at = l.board.Bulletin_board.posted_at;
-    board_flow = Vec.copy l.board.Bulletin_board.flow;
-    board_latencies = Array.copy l.board.Bulletin_board.edge_latencies;
-  }
-
-let fault_parts = function
-  | Faults.Drop -> ("drop", 0.)
-  | Faults.Delay f -> ("delay", f)
-  | Faults.Partial p -> ("partial", p)
-  | Faults.Noise s -> ("noise", s)
-
-let emit_fault ins ~time ~index fault =
-  let kind, arg = fault_parts fault in
-  if Probe.enabled ins.probe then
-    Probe.emit ins.probe (Probe.Fault_injected { time; index; kind; arg });
-  Metrics.incr ins.faults_c
-
-(* Announce a freshly posted board and compile its kernel, emitting the
-   matching probe events and metric updates.  With [?prev] the previous
-   posting's kernel is refreshed in place ([Rate_kernel.update] —
-   bitwise identical to a fresh build, so traces and results cannot
-   tell the difference); without it a kernel is built from scratch.
-   [Sys.time] is CPU time — coarse for a single build but meaningful
-   accumulated over a run — and is consulted only when the histogram is
-   live, keeping uninstrumented runs free of clock reads. *)
-let announce_and_compile ?prev ?changed inst policy ~ins ~time board =
-  if Probe.enabled ins.probe then
-    Probe.emit ins.probe (Probe.Board_repost { time });
-  Metrics.incr ins.reposts;
-  let timed = Metrics.enabled_histogram ins.build_ns in
-  let t0 = if timed then Sys.time () else 0. in
-  let sp =
-    Span.enter ins.spans
-      (match prev with Some _ -> "kernel_update" | None -> "kernel_build")
-  in
-  let kernel =
-    match prev with
-    | Some l -> Rate_kernel.update ?changed l.kernel ~board
-    | None -> Rate_kernel.build inst policy ~board
-  in
-  Span.exit ins.spans sp;
-  if timed then Metrics.observe ins.build_ns ((Sys.time () -. t0) *. 1e9);
-  if Probe.enabled ins.probe then
-    Probe.emit ins.probe (Probe.Kernel_rebuild { time });
-  Metrics.incr ins.rebuilds;
-  assert (Rate_kernel.is_current kernel ~board);
-  { board; kernel }
-
-(* Account the delta scratch's dirty-work counts and hand the changed
-   set to the kernel update — shared tail of every repost path. *)
-let after_repost ~ins ~delta =
-  Metrics.incr ~by:(Bulletin_board.dirty_edges delta) ins.repost_edges;
-  Metrics.incr ~by:(Bulletin_board.dirty_paths delta) ins.repost_paths;
-  (Bulletin_board.changed_paths delta, Bulletin_board.changed_count delta)
-
-(* [?down]: dead edges are pinned at [Faults.dead_latency] in the
-   posted latencies.  Passed only while the down-set is non-empty, so
-   outage-free phases keep the clean sparse-repost path bit-for-bit. *)
-let post_and_compile ?prev ?down inst policy ~ins ~delta ~time f =
-  match prev with
-  | Some l ->
-      let sp = Span.enter ins.spans "board_repost" in
-      let board =
-        match down with
-        | None -> Bulletin_board.repost ~delta inst ~prev:l.board ~time f
-        | Some dn ->
-            Bulletin_board.repost_with ~delta inst ~prev:l.board ~time ~flow:f
-              ~edge_latencies:(Faults.dead_edge_latencies inst ~down:dn f)
-      in
-      Span.exit ins.spans sp;
-      let changed = after_repost ~ins ~delta in
-      announce_and_compile ~prev:l ~changed inst policy ~ins ~time board
-  | None ->
-      let sp = Span.enter ins.spans "board_post" in
-      let board =
-        match down with
-        | None -> Bulletin_board.post inst ~time f
-        | Some dn ->
-            Bulletin_board.post_with inst ~time ~flow:f
-              ~edge_latencies:(Faults.dead_edge_latencies inst ~down:dn f)
-      in
-      Span.exit ins.spans sp;
-      announce_and_compile inst policy ~ins ~time board
-
-(* The "a re-post lands now" path: build the (possibly Partial/Noise
-   faulted) board for update [index] and compile it.  Drop/Delay/Partial
-   faults with no previous board to lean on degrade to a clean post —
-   nothing was actually injected, so no fault event is emitted. *)
-let post_faulted ?down inst policy ~ins ~delta ~faults ~index fault ~time
-    ~prev f =
-  let fault =
-    match
-      (fault, (prev : live option))
-    with
-    | Some (Faults.Drop | Faults.Delay _ | Faults.Partial _), None -> None
-    | f, _ -> f
-  in
-  (match fault with
-  | Some fault -> emit_fault ins ~time ~index fault
-  | None -> ());
-  let prev_board = Option.map (fun l -> l.board) prev in
-  let sp =
-    Span.enter ins.spans
-      (match prev_board with Some _ -> "board_repost" | None -> "board_post")
-  in
-  let board =
-    Faults.board ~delta ?down faults ~index fault inst ~time ~prev:prev_board f
-  in
-  Span.exit ins.spans sp;
-  match prev with
-  | Some _ ->
-      let changed = after_repost ~ins ~delta in
-      announce_and_compile ?prev ~changed inst policy ~ins ~time board
-  | None -> announce_and_compile inst policy ~ins ~time board
-
-(* The outage boundary (DESIGN.md §14), shared verbatim by the three
-   drivers: advance the per-edge failure chain one phase (emitting
-   typed [Edge_down]/[Edge_up] events), and while any edge is dead,
-   evacuate the working flow off the dead paths *before* the phase's
-   post and kernel recompile — the posted flow, the board's latencies
-   and the compiled sigma/mu tables must all see the evacuated state.
-   A commodity with no surviving path goes to the partition guard.
-   Returns the live down-set flags, [None] when every edge is alive
-   (the bit-inert fast path). *)
-let outage_boundary ~ins ~guard inst ~index ~time outage g =
-  match outage with
-  | None -> None
-  | Some st -> (
-      Faults.outage_step st ~phase:index ~on_change:(fun ~edge ~down ->
-          if Probe.enabled ins.probe then
-            Probe.emit ins.probe
-              (if down then Probe.Edge_down { time; index; edge }
-               else Probe.Edge_up { time; index; edge });
-          Metrics.incr ins.faults_c);
-      match Faults.outage_down st with
-      | None -> None
-      | Some down ->
-          let dead = Faults.path_dead inst ~down in
-          let partitioned = Flow.evacuate inst ~dead g in
-          Guard.check_partition ?guard ~probe:ins.probe inst ~index ~time
-            partitioned;
-          Some down)
-
-(* The driver always runs on the compiled kernel path: a board is
-   compiled to a [Rate_kernel.t] once per post and the phase is
-   integrated in place against it.  [Rates.flow_derivative] remains as
-   the reference implementation (tests and the microbenchmarks compare
-   the two). *)
-(* [grow_hook ~index ~time live g] is the column-generation boundary
-   check (identity when colgen is off): price the live posting, and on
-   admission return the grown posting, the zero-extended working vector
-   and the grown instance.  It runs once per phase, after the phase's
-   operative posting is established — under a dropped re-post that is
-   the {e old} board, which is exactly the model-consistent oracle:
-   agents can only discover routes the board actually shows. *)
-let advance_one_phase inst config ~ins ~pool ~delta ~grow_hook ~faults ~guard
-    ~outage ~index:k ~live ~time f =
+(* One phase from [f] on a working copy.  The driver always runs on the
+   compiled kernel path: a board is compiled to a [Rate_kernel.t] once
+   per post and the phase is integrated in place against it.
+   [Rates.flow_derivative] remains as the reference implementation
+   (tests and the microbenchmarks compare the two). *)
+let advance_one_phase b config ~integrate ~index:k ~time f =
   let tau = phase_length config in
   let steps = config.steps_per_phase in
-  let stage = Integrator.stage_evals config.scheme in
-  let integrate ~inst ~kernel ~t0 ~tau ~steps g =
-    let sp = Span.enter ins.spans "integrate" in
-    Integrator.integrate_phase_into ~probe:ins.probe ~t0 config.scheme inst
-      ~pool:!pool
-      ~deriv_into:(Rate_kernel.flow_derivative_into kernel)
-      ~f:g ~tau ~steps;
-    Span.exit ins.spans sp;
-    Metrics.incr ~by:(stage * steps) ins.derivs
-  in
+  let g = Vec.copy f in
+  (* Evacuation happens on the working copy before any posting: a
+     dropped re-post then keeps the *old* board (which still shows the
+     dead edge alive — the headline stale-information hazard, since
+     migration happily moves flow back onto it mid-phase), which is why
+     the boundary re-evacuates every phase while the down-set is
+     non-empty.  Under fresh information the outage chain still lives
+     on the phase grid: every interior step's re-post carries the same
+     down-set. *)
+  Boundary.outage b ~index:k ~time g;
   match config.staleness with
   | Stale _ -> (
-      let g = Vec.copy f in
-      (* Evacuation happens on the working copy before any posting: a
-         dropped re-post then keeps the *old* board (which still shows
-         the dead edge alive — the headline stale-information hazard,
-         since migration happily moves flow back onto it mid-phase),
-         which is why the boundary re-evacuates every phase while the
-         down-set is non-empty. *)
-      let down = outage_boundary ~ins ~guard inst ~index:k ~time outage g in
-      let fault = Faults.fault_at faults ~index:k in
-      match (fault, live) with
-      | Some Faults.Drop, Some l ->
-          (* The re-post was lost: the previous board survives the phase
-             boundary and its kernel is legitimately not rebuilt.  A
-             column priced in against that surviving board still counts
-             as a new revision — growth is the one event besides a
-             re-post that recompiles the kernel. *)
-          emit_fault ins ~time ~index:k Faults.Drop;
-          assert (Rate_kernel.is_current l.kernel ~board:l.board);
-          let l, g, inst = grow_hook ~index:k ~time ~down l g in
-          integrate ~inst ~kernel:l.kernel ~t0:time ~tau ~steps g;
-          (g, Some l)
-      | Some (Faults.Delay fraction as fault), Some l ->
-          (* The re-post lands mid-phase, snapped to the integrator-step
-             grid: the head of the phase still runs on the old board.
-             With a single step per phase there is no interior grid point
-             and the landing collapses to the next phase boundary — i.e.
-             the post is effectively lost, like a drop. *)
-          emit_fault ins ~time ~index:k fault;
-          if steps < 2 then begin
-            assert (Rate_kernel.is_current l.kernel ~board:l.board);
-            let l, g, inst = grow_hook ~index:k ~time ~down l g in
-            integrate ~inst ~kernel:l.kernel ~t0:time ~tau ~steps g;
-            (g, Some l)
-          end
-          else begin
-            let h = tau /. float_of_int steps in
-            let s1 =
-              let ideal =
-                int_of_float (Float.round (fraction *. float_of_int steps))
-              in
-              max 1 (min (steps - 1) ideal)
-            in
-            assert (Rate_kernel.is_current l.kernel ~board:l.board);
-            let l, g, inst = grow_hook ~index:k ~time ~down l g in
-            integrate ~inst ~kernel:l.kernel ~t0:time
-              ~tau:(h *. float_of_int s1)
-              ~steps:s1 g;
-            let post_time = time +. (h *. float_of_int s1) in
-            let l' =
-              post_and_compile ~prev:l ?down inst config.policy ~ins ~delta
-                ~time:post_time g
-            in
-            integrate ~inst ~kernel:l'.kernel ~t0:post_time
-              ~tau:(h *. float_of_int (steps - s1))
-              ~steps:(steps - s1) g;
-            (g, Some l')
-          end
-      | fault, live ->
-          (* Post the (possibly evacuated) working copy — with no
-             outage its bits equal [f]'s, so the fault-free path is
-             unchanged. *)
-          let l =
-            post_faulted ?down inst config.policy ~ins ~delta ~faults ~index:k
-              fault ~time ~prev:live g
-          in
-          let l, g, inst = grow_hook ~index:k ~time ~down l g in
-          integrate ~inst ~kernel:l.kernel ~t0:time ~tau ~steps g;
-          (g, Some l))
+      (* A lost re-post keeps the previous board and its kernel.  A
+         delayed one lands mid-phase, snapped to the integrator-step
+         grid: the head of the phase still runs on the old board, and
+         with a single step per phase it collapses to a drop.  Columns
+         are priced against whichever posting is operative at the
+         phase start — agents can only discover routes the board
+         actually shows. *)
+      let landing = Boundary.attempt b ~index:k ~time ~slots:steps g in
+      let g = Boundary.grow b ~index:k ~time g in
+      match landing with
+      | Posted | Kept ->
+          integrate ~t0:time ~tau ~steps g;
+          g
+      | Delayed s1 ->
+          let h = tau /. float_of_int steps in
+          integrate ~t0:time ~tau:(h *. float_of_int s1) ~steps:s1 g;
+          let post_time = time +. (h *. float_of_int s1) in
+          Boundary.post b ~time:post_time g;
+          integrate ~t0:post_time
+            ~tau:(h *. float_of_int (steps - s1))
+            ~steps:(steps - s1) g;
+          g)
   | Fresh ->
       (* Re-post before every internal step: zero information age up to
-         the step size.  The kernel only survives one step here — it
-         must be rebuilt for every re-posted board.  Faults are keyed by
-         the global update index (one update per step); a delayed post
-         is equivalent to a dropped one, because the next step re-posts
-         anyway.  Column generation still prices once per phase
-         boundary (the first step's posting). *)
+         the step size, and a kernel lives for exactly one step.  Faults
+         are keyed by the global update index (one update per step); a
+         delayed post is equivalent to a dropped one, because the next
+         step re-posts anyway.  Column generation still prices once per
+         phase boundary (the first step's posting). *)
       let h = tau /. float_of_int steps in
-      let g = ref (Vec.copy f) in
-      (* The outage chain lives on the phase grid even under fresh
-         information: one transition batch and one evacuation per
-         phase, with every interior step's re-post carrying the same
-         down-set. *)
-      let down = outage_boundary ~ins ~guard inst ~index:k ~time outage !g in
-      let live = ref live in
-      let inst = ref inst in
+      let g = ref g in
       for j = 0 to steps - 1 do
         let step_time = time +. (float_of_int j *. h) in
-        let u = (k * steps) + j in
-        let fault = Faults.fault_at faults ~index:u in
-        (match (fault, !live) with
-        | Some ((Faults.Drop | Faults.Delay _) as fault), Some _ ->
-            emit_fault ins ~time:step_time ~index:u fault
-        | fault, lv ->
-            live :=
-              Some
-                (post_faulted ?down !inst config.policy ~ins ~delta ~faults
-                   ~index:u fault ~time:step_time ~prev:lv !g));
-        if j = 0 then begin
-          let l', g', inst' =
-            grow_hook ~index:k ~time:step_time ~down (Option.get !live) !g
-          in
-          live := Some l';
-          g := g';
-          inst := inst'
-        end;
-        let l = Option.get !live in
-        assert (Rate_kernel.is_current l.kernel ~board:l.board);
-        integrate ~inst:!inst ~kernel:l.kernel ~t0:step_time ~tau:h ~steps:1 !g
+        let (_ : Boundary.attempt) =
+          Boundary.attempt b ~index:((k * steps) + j) ~time:step_time ~slots:1
+            !g
+        in
+        if j = 0 then g := Boundary.grow b ~index:k ~time:step_time !g;
+        integrate ~t0:step_time ~tau:h ~steps:1 !g
       done;
-      (!g, !live)
-
-let restore_live inst policy b =
-  (* [restore], not [post_with]: it re-verifies whether the checkpointed
-     latencies are exactly the flow-induced ones, so a resumed run makes
-     the same sparse/full repost decisions as the uninterrupted one. *)
-  let board =
-    Bulletin_board.restore inst ~time:b.posted_at ~flow:b.board_flow
-      ~edge_latencies:b.board_latencies
-  in
-  { board; kernel = Rate_kernel.build inst policy ~board }
+      !g
 
 let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
-    ?(faults = Faults.plan Faults.none) ?guard ?colgen ?from
-    ?(checkpoint_every = 0) ?on_checkpoint inst config ~init =
-  if config.phases < 0 then invalid_arg "Driver.run: negative phase count";
-  if config.steps_per_phase < 1 then
-    invalid_arg "Driver.run: steps_per_phase < 1";
-  (match colgen with
-  | Some cg when not (Path_pool.instance cg == inst) ->
-      invalid_arg
-        "Driver.run: colgen pool was seeded over a different instance"
-  | _ -> ());
+    ?faults ?guard ?colgen ?from ?(checkpoint_every = 0) ?on_checkpoint inst
+    config ~init =
   let tau = phase_length config in
-  let ins = instruments probe spans metrics ~faults in
-  (* Persistent repost scratch — one per run, never shared across
-     domains (pooled sweeps create their own driver per task). *)
-  let delta = Bulletin_board.delta () in
+  (* Resuming: the snapshot flow is bit-exact driver output — it is
+     deliberately NOT re-projected (an uninterrupted run does not
+     re-project between phases either). *)
+  let resume =
+    Option.map
+      (fun s ->
+        if s.next_phase < 0 || s.next_phase > config.phases then
+          invalid_arg "Driver.run: snapshot phase outside configured range";
+        if List.length s.records_so_far <> s.next_phase then
+          invalid_arg "Driver.run: snapshot records inconsistent with phase";
+        {
+          Boundary.next_index = s.next_phase;
+          start_flow = s.flow;
+          posted = s.board;
+          grown_paths = s.grown_paths;
+        })
+      from
+  in
+  let b, f0 =
+    Boundary.create ~probe ~metrics ~spans ?faults ?guard ?colgen ?resume
+      ~who:"Driver.run" ~phases:config.phases ~steps:config.steps_per_phase
+      inst config.policy ~init
+  in
+  let derivs = Metrics.counter metrics "derivative_evals" in
+  let stage = Integrator.stage_evals config.scheme in
+  let integrate ~t0 ~tau ~steps g =
+    Boundary.integrate b config.scheme ~t0 ~tau ~steps g;
+    Metrics.incr ~by:(stage * steps) derivs
+  in
   let h_phi = Metrics.histogram metrics "phase_potential" in
   let h_dphi = Metrics.histogram metrics "phase_delta_phi" in
   let h_vgain = Metrics.histogram metrics "phase_virtual_gain" in
   let h_gc = Metrics.histogram metrics "phase_minor_words" in
   let g_final = Metrics.gauge metrics "final_potential" in
-  let guard_repairs =
-    Option.map (fun _ -> Metrics.counter metrics "guard_repairs") guard
-  in
-  (* Colgen-free runs keep their metric snapshot exactly as before the
-     pool layer existed. *)
-  let grown_c =
-    Metrics.counter
-      (match colgen with Some _ -> metrics | None -> Metrics.null)
-      "paths_grown"
-  in
-  (* The growing state: the active instance, the recorded admissions
-     (newest first) and the scratch-vector pool sized to the active
-     dimension.  Without [?colgen] none of these ever move. *)
-  let inst_r = ref inst in
-  let grown = ref ([] : (int * int array) list) in
-  let start_phase, f, live, records =
+  let start_phase, records =
     match from with
-    | None ->
-        if not (Flow.is_feasible inst init) then
-          invalid_arg "Driver.run: infeasible initial flow";
-        let sp = Span.enter spans "project" in
-        let f0 = Flow.project inst init in
-        Span.exit spans sp;
-        (0, ref f0, ref None, ref [])
-    | Some s ->
-        (* Resuming: the snapshot flow is bit-exact driver output — it is
-           deliberately NOT re-projected (an uninterrupted run does not
-           re-project between phases either). *)
-        if s.next_phase < 0 || s.next_phase > config.phases then
-          invalid_arg "Driver.run: snapshot phase outside configured range";
-        if List.length s.records_so_far <> s.next_phase then
-          invalid_arg "Driver.run: snapshot records inconsistent with phase";
-        (match (s.grown_paths, colgen) with
-        | [], _ -> ()
-        | _ :: _, None ->
-            invalid_arg
-              "Driver.run: snapshot records grown paths but no colgen pool \
-               was supplied"
-        | gps, Some cg ->
-            (* Replay validates every recorded path against the pool's
-               graph and commodities — a hand-edited path set is refused
-               here, and the dimension checks below catch a snapshot
-               whose flow does not match the replayed active set. *)
-            inst_r := Path_pool.replay cg ~grown:gps;
-            grown := List.rev gps);
-        let inst = !inst_r in
-        if Vec.dim s.flow <> Instance.path_count inst then
-          invalid_arg "Driver.run: snapshot flow has wrong dimension";
-        let live = Option.map (restore_live inst config.policy) s.board in
-        ( s.next_phase,
-          ref (Vec.copy s.flow),
-          ref live,
-          ref (List.rev s.records_so_far) )
+    | None -> (0, ref [])
+    | Some s -> (s.next_phase, ref (List.rev s.records_so_far))
   in
-  let vpool = ref (Vec.Pool.create ~dim:(Instance.path_count !inst_r)) in
-  let grow_hook =
-    match colgen with
-    | None -> fun ~index:_ ~time:_ ~down:_ l g -> (l, g, !inst_r)
-    | Some cg -> (
-        fun ~index ~time ~down l g ->
-          let inst = !inst_r in
-          let sp = Span.enter spans "colgen_price" in
-          (* While edges are dead, pricing runs over the alive network:
-             dead edges weigh [infinity] (Dijkstra accepts it), so the
-             oracle can admit a detour column but never a dead one. *)
-          let pricing_latencies =
-            match down with
-            | None -> l.board.Bulletin_board.edge_latencies
-            | Some dn ->
-                Faults.alive_latencies ~down:dn
-                  l.board.Bulletin_board.edge_latencies
-          in
-          let grown_set =
-            Path_pool.grow cg inst ~edge_latencies:pricing_latencies
-          in
-          Span.exit spans sp;
-          match grown_set with
-          | None -> (l, g, inst)
-          | Some (inst', adds) ->
-              let n0 = Instance.path_count inst in
-              let n' = Instance.path_count inst' in
-              if Probe.enabled ins.probe then
-                List.iteri
-                  (fun i (a : Path_pool.growth) ->
-                    Probe.emit ins.probe
-                      (Probe.Path_growth
-                         {
-                           time;
-                           index;
-                           commodity = a.commodity;
-                           cost = a.cost;
-                           incumbent = a.incumbent;
-                           path_count = n0 + i + 1;
-                         }))
-                  adds;
-              Metrics.incr ~by:(List.length adds) grown_c;
-              (* A grown set is a new revision, exactly like a re-post:
-                 the board is re-posted over the grown index (same
-                 snapshot time, same edge latencies, zero posted flow on
-                 the new columns) and the kernel recompiles — block-wise
-                 incrementally, since only grown commodities changed. *)
-              if Probe.enabled ins.probe then
-                Probe.emit ins.probe (Probe.Board_repost { time });
-              Metrics.incr ins.reposts;
-              let board = Bulletin_board.repost_grown inst' ~prev:l.board in
-              let timed = Metrics.enabled_histogram ins.build_ns in
-              let t0 = if timed then Sys.time () else 0. in
-              let sp = Span.enter spans "kernel_grow" in
-              let kernel = Rate_kernel.grow l.kernel inst' ~board in
-              Span.exit spans sp;
-              if timed then
-                Metrics.observe ins.build_ns ((Sys.time () -. t0) *. 1e9);
-              if Probe.enabled ins.probe then
-                Probe.emit ins.probe (Probe.Kernel_rebuild { time });
-              Metrics.incr ins.rebuilds;
-              assert (Rate_kernel.is_current kernel ~board);
-              inst_r := inst';
-              grown :=
-                List.rev_append
-                  (List.map
-                     (fun (a : Path_pool.growth) ->
-                       (a.commodity, Staleroute_graph.Path.edge_id_array a.path))
-                     adds)
-                  !grown;
-              vpool := Vec.Pool.create ~dim:n';
-              ({ board; kernel }, Vec.extend g ~dim:n', inst'))
-  in
-  (* The outage down-set entering [start_phase] is recomputed purely
-     from the chain — nothing about it is checkpointed, so resume and
-     uninterrupted runs agree bit-for-bit. *)
-  let outage =
-    Faults.outage_start faults
-      ~edges:(Staleroute_graph.Digraph.edge_count (Instance.graph inst))
-      ~phase:start_phase
-  in
-  let phi = ref (Potential.phi !inst_r !f) in
+  let f = ref f0 in
+  let phi = ref (Potential.phi (Boundary.instance b) !f) in
   for k = start_phase to config.phases - 1 do
     let sp_phase = Span.enter spans "phase" in
     let start_time = float_of_int k *. tau in
@@ -563,29 +178,16 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
       Probe.emit probe
         (Probe.Phase_start
            { index = k; time = start_time; potential = start_potential });
-    let next, live' =
-      advance_one_phase !inst_r config ~ins ~pool:vpool ~delta ~grow_hook
-        ~faults ~guard ~outage ~index:k ~live:!live ~time:start_time !f
+    let next =
+      advance_one_phase b config ~integrate ~index:k ~time:start_time !f
     in
-    live := live';
-    let inst = !inst_r in
+    let inst = Boundary.instance b in
     (* When this phase grew the active set, embed its start flow in the
        grown index: the new columns carried zero flow at the phase
        start, so the zero-extension is exact (same edge flows, same
        potential). *)
-    let start_flow =
-      if Vec.dim start_flow < Instance.path_count inst then
-        Vec.extend start_flow ~dim:(Instance.path_count inst)
-      else start_flow
-    in
-    (match guard with
-    | Some gd ->
-        (* [record], not enter/exit: a fail-fast guard raises out of the
-           phase and [record] keeps the span stack balanced on the way. *)
-        Span.record spans "guard_check" (fun () ->
-            Guard.check gd ~probe ?repairs:guard_repairs inst ~index:k
-              ~time:(start_time +. tau) next)
-    | None -> ());
+    let start_flow = Boundary.widen b start_flow in
+    Boundary.guard_check b ~index:k ~time:(start_time +. tau) next;
     let next_phi = Potential.phi inst next in
     let virtual_gain =
       Virtual_gain.virtual_gain inst ~phase_start:start_flow ~phase_end:next
@@ -627,32 +229,29 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
           {
             next_phase = k + 1;
             flow = Vec.copy !f;
-            board = Option.map board_state !live;
+            board = Boundary.board_state b;
             records_so_far = List.rev !records;
-            grown_paths = List.rev !grown;
+            grown_paths = Boundary.grown_paths b;
           };
         Span.exit spans sp
     | _ -> ());
     Span.exit spans sp_phase
   done;
   Metrics.set g_final !phi;
-  let final_instance = !inst_r in
-  let records = Array.of_list (List.rev !records) in
   (* Normalize every record to the final dimension (zero-extension is
      exact — see above), so consumers can analyze the whole run against
-     [final_instance] and a resumed run reproduces the same records. *)
-  (if Option.is_some colgen then
-     let final_dim = Instance.path_count final_instance in
-     Array.iteri
-       (fun i r ->
-         if Vec.dim r.start_flow < final_dim then
-           records.(i) <-
-             { r with start_flow = Vec.extend r.start_flow ~dim:final_dim })
-       records);
+     [final_instance] and a resumed run reproduces the same records.
+     Only widened records are replaced: long runs copy nothing. *)
+  let records = Array.of_list (List.rev !records) in
+  Array.iteri
+    (fun i r ->
+      let v = Boundary.widen b r.start_flow in
+      if v != r.start_flow then records.(i) <- { r with start_flow = v })
+    records;
   {
     config;
     records;
     final_flow = !f;
     final_potential = !phi;
-    final_instance;
+    final_instance = Boundary.instance b;
   }

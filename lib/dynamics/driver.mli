@@ -105,10 +105,10 @@ val run :
     (once per phase under [Stale], once per integrator step under
     [Fresh]), then [Phase_end] carrying [Φ], the virtual gain and
     [ΔΦ].  When [metrics] is live the run maintains the
-    [board_reposts] / [kernel_rebuilds] / [derivative_evals] counters,
-    [kernel_build_ns] / [phase_potential] / [phase_delta_phi] /
-    [phase_virtual_gain] / [phase_minor_words] histograms and the
-    [final_potential] gauge.  Both default to disabled, which costs a
+    [board_reposts] / [kernel_rebuilds] / [repost_dirty_edges] /
+    [repost_dirty_paths] / [derivative_evals] counters, the
+    [phase_potential] / [phase_delta_phi] / [phase_virtual_gain] /
+    [phase_minor_words] histograms and the [final_potential] gauge.  Both default to disabled, which costs a
     branch per phase and keeps the integration hot path
     allocation-free.
 
@@ -125,13 +125,13 @@ val run :
 
     [spans] (default {!Staleroute_obs.Span.null}) records hierarchical
     wall-clock timing spans: a ["phase"] span per phase with
-    ["board_post"], ["kernel_build"] / ["kernel_update"] /
-    ["kernel_grow"], ["colgen_price"], ["integrate"], ["guard_check"]
-    and ["checkpoint_save"] children (plus one ["project"] for the
-    initial projection).  Spans are wall-clock — like the [*_ns]
-    metrics they are {e never} part of a byte-identity surface — and
-    the disabled recorder costs one branch per site, no clock reads,
-    no allocation.
+    ["board_post"] / ["board_repost"], ["kernel_build"] /
+    ["kernel_update"] / ["kernel_grow"], ["colgen_price"],
+    ["integrate"], ["guard_check"] and ["checkpoint_save"] children
+    (plus one ["project"] for the initial projection).  Spans are
+    wall-clock — they are {e never} part of a byte-identity surface —
+    and the disabled recorder costs one branch per site, no clock
+    reads, no allocation.
 
     [guard] checks the flow's numeric health at every phase boundary
     (see {!Guard}); repairs bump a [guard_repairs] counter.

@@ -1,336 +1,74 @@
 open Staleroute_wardrop
 module Vec = Staleroute_util.Vec
-module Probe = Staleroute_obs.Probe
-module Metrics = Staleroute_obs.Metrics
-module Span = Staleroute_obs.Span
 
 type sample = { time : float; flow : Flow.t }
 
 type t = sample array
 
-let record ?(probe = Probe.null) ?(metrics = Metrics.null)
-    ?(spans = Span.null) ?(faults = Faults.plan Faults.none) ?guard ?colgen inst
+let record ?probe ?metrics ?spans ?faults ?guard ?colgen inst
     (config : Driver.config) ~init ~samples_per_phase =
   if samples_per_phase < 1 then
     invalid_arg "Trajectory.record: samples_per_phase < 1";
-  (match colgen with
-  | Some cg when not (Path_pool.instance cg == inst) ->
-      invalid_arg
-        "Trajectory.record: colgen pool was seeded over a different instance"
-  | _ -> ());
   let tau = Driver.phase_length config in
+  let b, f0 =
+    Boundary.create ?probe ?metrics ?spans ?faults ?guard ?colgen
+      ~who:"Trajectory.record" ~phases:config.phases
+      ~steps:config.steps_per_phase inst config.policy ~init
+  in
   (* Integrate in [samples_per_phase] chunks per phase, re-posting the
      board per phase (Stale) or per chunk (Fresh). *)
-  let steps_per_chunk =
-    max 1 (config.Driver.steps_per_phase / samples_per_phase)
-  in
+  let steps_per_chunk = max 1 (config.steps_per_phase / samples_per_phase) in
   let chunk = tau /. float_of_int samples_per_phase in
-  let inst_r = ref inst in
-  let pool = ref (Vec.Pool.create ~dim:(Instance.path_count inst)) in
-  let reposts = Metrics.counter metrics "board_reposts" in
-  (* Dirty-work of delta reposts — metrics only, never events. *)
-  let repost_edges = Metrics.counter metrics "repost_dirty_edges" in
-  let repost_paths = Metrics.counter metrics "repost_dirty_paths" in
-  let rebuilds = Metrics.counter metrics "kernel_rebuilds" in
-  (* Persistent repost scratch — one per recording, never shared across
-     domains. *)
-  let delta = Bulletin_board.delta () in
-  let grown_c =
-    Metrics.counter
-      (match colgen with Some _ -> metrics | None -> Metrics.null)
-      "paths_grown"
-  in
-  let faults_c =
-    Metrics.counter
-      (if Faults.is_null faults then Metrics.null else metrics)
-      "faults_injected"
-  in
-  let guard_repairs =
-    Option.map (fun _ -> Metrics.counter metrics "guard_repairs") guard
-  in
-  let emit_fault ~time ~index fault =
-    let kind, arg =
-      match fault with
-      | Faults.Drop -> ("drop", 0.)
-      | Faults.Delay f -> ("delay", f)
-      | Faults.Partial p -> ("partial", p)
-      | Faults.Noise s -> ("noise", s)
-    in
-    if Probe.enabled probe then
-      Probe.emit probe (Probe.Fault_injected { time; index; kind; arg });
-    Metrics.incr faults_c
-  in
-  let announce_and_compile ?prev ?changed ~time board =
-    if Probe.enabled probe then Probe.emit probe (Probe.Board_repost { time });
-    Metrics.incr reposts;
-    let sp =
-      Span.enter spans
-        (match prev with Some _ -> "kernel_update" | None -> "kernel_build")
-    in
-    let kernel =
-      (* Incremental recompile against the previous kernel when one is
-         live — bitwise identical to a fresh [build] (see
-         {!Rate_kernel.update}). *)
-      match prev with
-      | Some k -> Rate_kernel.update ?changed k ~board
-      | None -> Rate_kernel.build !inst_r config.Driver.policy ~board
-    in
-    Span.exit spans sp;
-    if Probe.enabled probe then
-      Probe.emit probe (Probe.Kernel_rebuild { time });
-    Metrics.incr rebuilds;
-    (board, kernel)
-  in
-  (* Account the delta scratch's dirty-work counts and hand the changed
-     set to the kernel update — shared tail of every repost path. *)
-  let after_repost () =
-    Metrics.incr ~by:(Bulletin_board.dirty_edges delta) repost_edges;
-    Metrics.incr ~by:(Bulletin_board.dirty_paths delta) repost_paths;
-    (Bulletin_board.changed_paths delta, Bulletin_board.changed_count delta)
-  in
-  let post_and_compile ?prev ?down ~time flow =
-    match prev with
-    | Some (pb, pk) ->
-        let sp = Span.enter spans "board_repost" in
-        let board =
-          match down with
-          | None -> Bulletin_board.repost ~delta !inst_r ~prev:pb ~time flow
-          | Some dn ->
-              Bulletin_board.repost_with ~delta !inst_r ~prev:pb ~time ~flow
-                ~edge_latencies:(Faults.dead_edge_latencies !inst_r ~down:dn
-                                   flow)
-        in
-        Span.exit spans sp;
-        let changed = after_repost () in
-        announce_and_compile ~prev:pk ~changed ~time board
-    | None ->
-        let sp = Span.enter spans "board_post" in
-        let board =
-          match down with
-          | None -> Bulletin_board.post !inst_r ~time flow
-          | Some dn ->
-              Bulletin_board.post_with !inst_r ~time ~flow
-                ~edge_latencies:(Faults.dead_edge_latencies !inst_r ~down:dn
-                                   flow)
-        in
-        Span.exit spans sp;
-        announce_and_compile ~time board
-  in
-  (* A faulted re-post that lands now; Drop/Delay/Partial with no
-     previous board degrade to a clean post with no event (nothing was
-     actually injected). *)
-  let post_faulted ?down ~index fault ~time ~prev flow =
-    let fault =
-      match (fault, prev) with
-      | Some (Faults.Drop | Faults.Delay _ | Faults.Partial _), None -> None
-      | f, _ -> f
-    in
-    (match fault with
-    | Some fault -> emit_fault ~time ~index fault
-    | None -> ());
-    let prev_board = Option.map fst prev in
-    let sp =
-      Span.enter spans
-        (match prev_board with
-        | Some _ -> "board_repost"
-        | None -> "board_post")
-    in
-    let board =
-      Faults.board ~delta ?down faults ~index fault !inst_r ~time
-        ~prev:prev_board flow
-    in
-    Span.exit spans sp;
-    match prev with
-    | Some (_, pk) ->
-        let changed = after_repost () in
-        announce_and_compile ~prev:pk ~changed ~time board
-    | None -> announce_and_compile ~time board
-  in
+  let f = ref f0 in
   let samples = ref [] in
-  let sp0 = Span.enter spans "project" in
-  let f = ref (Flow.project inst init) in
-  Span.exit spans sp0;
-  (* The live posting survives dropped re-posts — under faults a board
-     (and its still-current kernel) can outlive the phase it was posted
-     in, exactly as in [Driver]. *)
-  let live = ref None in
-  (* Column-generation boundary check, mirroring [Driver]: price the
-     live posting once per phase (against the surviving old board under
-     a dropped/delayed re-post) and grow the active set in place. *)
-  let try_grow ~index ~time ~down =
-    match colgen with
-    | None -> ()
-    | Some cg -> (
-        let inst = !inst_r in
-        let board, kernel = Option.get !live in
-        let sp = Span.enter spans "colgen_price" in
-        (* Price over alive edges only while the down-set is non-empty
-           — a detour column may be admitted, a dead one never. *)
-        let pricing_latencies =
-          match down with
-          | None -> board.Bulletin_board.edge_latencies
-          | Some dn ->
-              Faults.alive_latencies ~down:dn
-                board.Bulletin_board.edge_latencies
-        in
-        let grown_set = Path_pool.grow cg inst ~edge_latencies:pricing_latencies in
-        Span.exit spans sp;
-        match grown_set with
-        | None -> ()
-        | Some (inst', adds) ->
-            let n0 = Instance.path_count inst in
-            let n' = Instance.path_count inst' in
-            if Probe.enabled probe then
-              List.iteri
-                (fun i (a : Path_pool.growth) ->
-                  Probe.emit probe
-                    (Probe.Path_growth
-                       {
-                         time;
-                         index;
-                         commodity = a.commodity;
-                         cost = a.cost;
-                         incumbent = a.incumbent;
-                         path_count = n0 + i + 1;
-                       }))
-                adds;
-            Metrics.incr ~by:(List.length adds) grown_c;
-            if Probe.enabled probe then
-              Probe.emit probe (Probe.Board_repost { time });
-            Metrics.incr reposts;
-            let board' = Bulletin_board.repost_grown inst' ~prev:board in
-            let sp = Span.enter spans "kernel_grow" in
-            let kernel' = Rate_kernel.grow kernel inst' ~board:board' in
-            Span.exit spans sp;
-            if Probe.enabled probe then
-              Probe.emit probe (Probe.Kernel_rebuild { time });
-            Metrics.incr rebuilds;
-            assert (Rate_kernel.is_current kernel' ~board:board');
-            inst_r := inst';
-            live := Some (board', kernel');
-            f := Vec.extend !f ~dim:n';
-            pool := Vec.Pool.create ~dim:n')
-  in
   let push time flow = samples := { time; flow = Vec.copy flow } :: !samples in
   push 0. !f;
-  (* Down-set entering phase 0 — recomputed purely, nothing
-     checkpointed (Trajectory does not resume, but the chain is shared
-     with the drivers that do). *)
-  let outage =
-    Faults.outage_start faults
-      ~edges:(Staleroute_graph.Digraph.edge_count (Instance.graph inst))
-      ~phase:0
-  in
-  for k = 0 to config.Driver.phases - 1 do
+  for k = 0 to config.phases - 1 do
     let phase_start = float_of_int k *. tau in
-    (* Outage boundary, before any posting: transitions fire, the
-       working flow evacuates dead paths in place, partitions go to the
-       guard (DESIGN.md §14).  The evacuation jump lands between the
-       phase's first and the previous phase's last sample. *)
-    let down =
-      match outage with
-      | None -> None
-      | Some st -> (
-          Faults.outage_step st ~phase:k ~on_change:(fun ~edge ~down ->
-              if Probe.enabled probe then
-                Probe.emit probe
-                  (if down then
-                     Probe.Edge_down { time = phase_start; index = k; edge }
-                   else Probe.Edge_up { time = phase_start; index = k; edge });
-              Metrics.incr faults_c);
-          match Faults.outage_down st with
-          | None -> None
-          | Some dn ->
-              let inst = !inst_r in
-              let partitioned =
-                Flow.evacuate inst ~dead:(Faults.path_dead inst ~down:dn) !f
-              in
-              Guard.check_partition ?guard ~probe inst ~index:k
-                ~time:phase_start partitioned;
-              Some dn)
+    (* Outage boundary, before any posting: the evacuation jump lands
+       between the phase's first and the previous phase's last
+       sample. *)
+    Boundary.outage b ~index:k ~time:phase_start !f;
+    (* Chunk index (within this phase) where a delayed post lands: it
+       lands on the chunk grid, collapsing to a drop with a single chunk
+       per phase. *)
+    let pending =
+      match config.staleness with
+      | Driver.Fresh -> None
+      | Driver.Stale _ -> (
+          let landing =
+            Boundary.attempt b ~index:k ~time:phase_start
+              ~slots:samples_per_phase !f
+          in
+          f := Boundary.grow b ~index:k ~time:phase_start !f;
+          match landing with Delayed j -> Some j | Posted | Kept -> None)
     in
-    (* Chunk index (within this phase) where a delayed post lands. *)
-    let pending = ref None in
-    (match config.Driver.staleness with
-    | Driver.Fresh -> ()
-    | Driver.Stale _ -> (
-        let fault = Faults.fault_at faults ~index:k in
-        match (fault, !live) with
-        | Some Faults.Drop, Some _ ->
-            emit_fault ~time:phase_start ~index:k Faults.Drop
-        | Some (Faults.Delay fraction as fault), Some _ ->
-            (* Lands on the chunk grid; with a single chunk per phase
-               there is no interior grid point and the delay collapses
-               to a drop. *)
-            emit_fault ~time:phase_start ~index:k fault;
-            if samples_per_phase >= 2 then begin
-              let ideal =
-                int_of_float
-                  (Float.round (fraction *. float_of_int samples_per_phase))
-              in
-              pending := Some (max 1 (min (samples_per_phase - 1) ideal))
-            end
-        | fault, lv ->
-            live :=
-              Some
-                (post_faulted ?down ~index:k fault ~time:phase_start ~prev:lv
-                   !f)));
-    (match config.Driver.staleness with
-    | Driver.Stale _ -> try_grow ~index:k ~time:phase_start ~down
-    | Driver.Fresh -> ());
     for j = 0 to samples_per_phase - 1 do
       let time = phase_start +. (float_of_int j *. chunk) in
-      (match config.Driver.staleness with
-      | Driver.Stale _ ->
-          if !pending = Some j then
-            (* The delayed post lands now, as a clean snapshot. *)
-            live := Some (post_and_compile ?prev:!live ?down ~time !f)
-      | Driver.Fresh -> (
+      (match config.staleness with
+      | Driver.Stale _ -> if pending = Some j then Boundary.post b ~time !f
+      | Driver.Fresh ->
           (* Every chunk is an update; faults are keyed by the global
              update index.  A delayed post behaves as a dropped one —
              the next chunk re-posts anyway. *)
-          let u = (k * samples_per_phase) + j in
-          let fault = Faults.fault_at faults ~index:u in
-          match (fault, !live) with
-          | Some ((Faults.Drop | Faults.Delay _) as fault), Some _ ->
-              emit_fault ~time ~index:u fault
-          | fault, lv ->
-              live := Some (post_faulted ?down ~index:u fault ~time ~prev:lv !f)));
-      (match config.Driver.staleness with
-      | Driver.Fresh when j = 0 -> try_grow ~index:k ~time ~down
-      | _ -> ());
-      let board, kernel = Option.get !live in
-      assert (Rate_kernel.is_current kernel ~board);
-      ignore board;
+          let (_ : Boundary.attempt) =
+            Boundary.attempt b ~index:((k * samples_per_phase) + j) ~time
+              ~slots:1 !f
+          in
+          if j = 0 then f := Boundary.grow b ~index:k ~time !f);
       let g = Vec.copy !f in
-      let sp = Span.enter spans "integrate" in
-      Integrator.integrate_phase_into ~probe ~t0:time config.Driver.scheme
-        !inst_r ~pool:!pool
-        ~deriv_into:(Rate_kernel.flow_derivative_into kernel)
-        ~f:g ~tau:chunk ~steps:steps_per_chunk;
-      Span.exit spans sp;
+      Boundary.integrate b config.scheme ~t0:time ~tau:chunk
+        ~steps:steps_per_chunk g;
       f := g;
       push (time +. chunk) !f
     done;
-    match guard with
-    | Some gd ->
-        Span.record spans "guard_check" (fun () ->
-            Guard.check gd ~probe ?repairs:guard_repairs !inst_r ~index:k
-              ~time:(phase_start +. tau) !f)
-    | None -> ()
+    Boundary.guard_check b ~index:k ~time:(phase_start +. tau) !f
   done;
-  let out = Array.of_list (List.rev !samples) in
-  (* Normalize every sample to the final active dimension (exact:
-     grown columns carried zero flow before they existed), mirroring
+  (* Normalize every sample to the final active dimension (exact: grown
+     columns carried zero flow before they existed), mirroring
      [Driver.run]'s record normalization. *)
-  (if Option.is_some colgen then
-     let final_dim = Instance.path_count !inst_r in
-     Array.iteri
-       (fun i s ->
-         if Vec.dim s.flow < final_dim then
-           out.(i) <- { s with flow = Vec.extend s.flow ~dim:final_dim })
-       out);
-  out
+  Array.of_list
+    (List.rev_map (fun s -> { s with flow = Boundary.widen b s.flow }) !samples)
 
 let series observe t =
   Array.map (fun s -> (s.time, observe s.flow)) t

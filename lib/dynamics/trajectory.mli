@@ -25,15 +25,31 @@ val record :
   init:Flow.t ->
   samples_per_phase:int ->
   t
-(** Integrate exactly like {!Driver.run} (same staleness semantics,
-    scheme and steps per phase) but keep [samples_per_phase >= 1]
-    evenly spaced snapshots inside every phase, plus the final state.
+(** Integrate the same dynamics as {!Driver.run} (same staleness
+    semantics, scheme, policy and phase length) but keep
+    [samples_per_phase >= 1] evenly spaced snapshots inside every
+    phase, plus the initial state.  Each phase runs as
+    [samples_per_phase] chunks of [max 1 (steps_per_phase /
+    samples_per_phase)] integrator steps, so the step count per phase
+    matches {!Driver.run} only when [samples_per_phase] divides
+    [steps_per_phase] (20 steps at 3 samples run 3 × 6 = 18; 2 steps
+    at 3 samples run 3 × 1 = 3).  Under [Fresh] the board is re-posted
+    once per chunk, not per step.
+
+    Raises [Invalid_argument] like {!Driver.run} on an infeasible
+    [init], [steps_per_phase < 1] or [phases < 0], and on
+    [samples_per_phase < 1].
 
     An enabled [probe] receives [Board_repost] / [Kernel_rebuild] /
-    [Step_batch] events; a live [metrics] registry maintains the
-    [board_reposts] and [kernel_rebuilds] counters.  [spans] records
-    the same wall-clock timing spans as {!Driver.run} (minus the
-    per-phase parent).  All default to disabled.
+    [Step_batch] events plus the fault, outage, guard and growth events
+    below; no [Phase_start] / [Phase_end].  A live [metrics] registry
+    maintains the [board_reposts], [kernel_rebuilds],
+    [repost_dirty_edges] and [repost_dirty_paths] counters, plus
+    [faults_injected] for a non-null fault plan, [guard_repairs] with
+    a guard and [paths_grown] with [colgen].  There are no derivative
+    counter and no phase histograms.  [spans] records the same
+    wall-clock timing spans as {!Driver.run} (minus the per-phase
+    parent and ["checkpoint_save"]).  All default to disabled.
 
     [faults] and [guard] mirror {!Driver.run}: faults are keyed by
     phase index under [Stale] (a delayed post lands on the {e chunk}

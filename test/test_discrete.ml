@@ -131,12 +131,14 @@ let test_faulted_run_deterministic () =
 let test_drops_skip_rebuilds () =
   let module Metrics = Staleroute_obs.Metrics in
   let metrics = Metrics.create () in
-  (* Every update attempt after the first drops; the run must still pass
-     the kernel-revision asserts (the surviving kernel *is* current). *)
+  (* Every update attempt drops, attempt 0 included: the explicit round-0
+     post comes first, so even attempt 0 has a previous board to keep
+     and injects a real [Drop].  The run must still pass the
+     kernel-revision asserts (the surviving kernel *is* current). *)
   let r = faulted_run ~metrics (Faults.make ~drop:1. ~seed:1 ()) in
   let posts = Metrics.count (Metrics.counter metrics "board_reposts") in
   let rebuilds = Metrics.count (Metrics.counter metrics "kernel_rebuilds") in
-  check_int "only the degraded first post lands" 1 posts;
+  check_int "only the round-0 post lands" 1 posts;
   check_int "kernel rebuilt once per landed post" posts rebuilds;
   check_true "run still completes feasibly"
     (Flow.is_feasible ~tol:1e-9 (Common.two_link ~beta:4.)
@@ -172,4 +174,7 @@ let suite =
     case "gentle migration converges" test_converges_with_gentle_migration;
     case "better response flip-flops" test_overshoots_where_continuous_would_not;
     case "validation" test_validation;
+    case "faulted run deterministic" test_faulted_run_deterministic;
+    case "drops skip rebuilds" test_drops_skip_rebuilds;
+    case "delay lands on round grid" test_delay_lands_on_round_grid;
   ]

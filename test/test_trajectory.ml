@@ -50,11 +50,18 @@ let test_record_matches_driver_at_phase_starts () =
 
 let test_validation () =
   let inst = Common.braess () in
+  let stale = config inst (Driver.Stale 0.25) in
+  let record ?(init = Flow.uniform inst) ?(samples_per_phase = 2) c =
+    ignore (Trajectory.record inst c ~init ~samples_per_phase)
+  in
   check_raises_invalid "samples_per_phase" (fun () ->
-      ignore
-        (Trajectory.record inst
-           (config inst (Driver.Stale 0.25))
-           ~init:(Flow.uniform inst) ~samples_per_phase:0))
+      record ~samples_per_phase:0 stale);
+  check_raises_invalid "infeasible init" (fun () ->
+      record ~init:(vec [| 3.; 0.; 0. |]) stale);
+  check_raises_invalid "steps_per_phase" (fun () ->
+      record { stale with Driver.steps_per_phase = 0 });
+  check_raises_invalid "negative phases" (fun () ->
+      record { stale with Driver.phases = -1 })
 
 let test_potential_gap_decreases () =
   let inst = Common.braess () in
