@@ -59,9 +59,10 @@ type t = {
 }
 
 let restore inst policy b =
-  (* [restore], not [post_with]: it re-verifies whether the checkpointed
-     latencies are exactly the flow-induced ones, so a resumed run makes
-     the same sparse/full repost decisions as the uninterrupted one. *)
+  (* [restore], not [post ~edge_latencies]: it re-verifies whether the
+     checkpointed latencies are exactly the flow-induced ones, so a
+     resumed run makes the same sparse/full repost decisions as the
+     uninterrupted one. *)
   let board =
     Bulletin_board.restore inst ~time:b.posted_at ~flow:b.board_flow
       ~edge_latencies:b.board_latencies
@@ -318,7 +319,7 @@ let grow b ~index ~time f =
           announce b ~time;
           let board = Bulletin_board.repost_grown inst' ~prev:l.board in
           let sp = Span.enter b.spans "kernel_grow" in
-          let kernel = Rate_kernel.grow l.kernel inst' ~board in
+          let kernel = Rate_kernel.build inst' b.policy ~board in
           Span.exit b.spans sp;
           install b ~time board kernel;
           b.inst <- inst';

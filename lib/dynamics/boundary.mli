@@ -116,7 +116,7 @@ val grow : t -> index:int -> time:float -> Flow.t -> Flow.t
     active instance.  Emits one [Path_growth] per column, then a
     [Board_repost] / [Kernel_rebuild] pair: a grown set is a new
     revision, re-posted over the grown index with the same time and
-    latencies and recompiled by {!Rate_kernel.grow}.  Returns the flow
+    latencies and compiled by {!Rate_kernel.build}.  Returns the flow
     zero-extended to the new dimension (exact: new columns carry no
     flow), or the flow itself when nothing was admitted or there is no
     [colgen] pool. *)

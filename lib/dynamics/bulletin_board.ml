@@ -28,9 +28,7 @@ let edge_count inst =
   Staleroute_graph.Digraph.edge_count (Instance.graph inst)
 
 (* The no-copy constructor behind every posting path: the caller owns
-   all three containers outright (it just built or copied them), so no
-   defensive copy is paid here.  Only [post_with] — whose array is
-   caller-supplied — copies before reaching this. *)
+   all three containers outright (it just built or copied them). *)
 let make_owned ~time ~flow ~path_latencies ~edge_latencies ~clean =
   {
     posted_at = time;
@@ -40,41 +38,6 @@ let make_owned ~time ~flow ~path_latencies ~edge_latencies ~clean =
     revision = next_revision ();
     clean;
   }
-
-let path_latencies_of inst ~edge_latencies =
-  Array.init (Instance.path_count inst) (fun p ->
-      Flow.path_latency inst ~edge_latencies p)
-
-let post_with inst ~time ~flow ~edge_latencies =
-  if Array.length edge_latencies <> edge_count inst then
-    invalid_arg "Bulletin_board.post_with: one latency per edge required";
-  let edge_latencies = Array.copy edge_latencies in
-  make_owned ~time ~flow:(Vec.copy flow)
-    ~path_latencies:(path_latencies_of inst ~edge_latencies)
-    ~edge_latencies ~clean:false
-
-let post inst ~time flow =
-  let edge_latencies = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
-  make_owned ~time ~flow:(Vec.copy flow)
-    ~path_latencies:(path_latencies_of inst ~edge_latencies)
-    ~edge_latencies ~clean:true
-
-let restore inst ~time ~flow ~edge_latencies =
-  (* Checkpoint-resume constructor: [post_with] plus a cleanliness
-     verification on this cold path.  A resumed run must drive the same
-     sparse-vs-full repost decisions (and dirty counters) as the
-     uninterrupted one, so a board whose latencies are exactly the ones
-     its flow induces gets its [clean] bit back. *)
-  let b = post_with inst ~time ~flow ~edge_latencies in
-  let induced = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
-  let clean = ref true in
-  for e = 0 to Array.length induced - 1 do
-    if
-      Int64.bits_of_float induced.(e)
-      <> Int64.bits_of_float b.edge_latencies.(e)
-    then clean := false
-  done;
-  { b with clean = !clean }
 
 (* --- sparse-delta re-posting --- *)
 
@@ -119,12 +82,19 @@ let changed_paths d = d.changed
 
 let[@inline] bits_differ a b = Int64.bits_of_float a <> Int64.bits_of_float b
 
-let check_repost_frame ~who inst ~prev ~flow =
+let check_frame ~who inst ~prev ~edge_latencies flow =
   let n = Instance.path_count inst in
-  if Vec.dim flow <> n then
-    invalid_arg (who ^ ": flow dimension mismatch");
-  if Vec.dim prev.flow <> n || Array.length prev.edge_latencies <> edge_count inst
-  then invalid_arg (who ^ ": previous board is over a different instance")
+  let ec = edge_count inst in
+  if Vec.dim flow <> n then invalid_arg (who ^ ": flow dimension mismatch");
+  (match edge_latencies with
+  | Some el when Array.length el <> ec ->
+      invalid_arg (who ^ ": one latency per edge required")
+  | _ -> ());
+  match prev with
+  | Some prev
+    when Vec.dim prev.flow <> n || Array.length prev.edge_latencies <> ec ->
+      invalid_arg (who ^ ": previous board is over a different instance")
+  | _ -> ()
 
 (* Recompute the latencies of every path incident to a listed dirty
    edge, via the transposed incidence; everything else keeps its copied
@@ -167,106 +137,131 @@ let collect_changed d ~n ~flow ~pflow ~path_latencies ~prev_path_latencies =
     end
   done
 
-(* Delta-aware re-post.  Find the paths whose flow moved bits, mark
-   their edges dirty through the path->edge CSR, re-gather only the
-   dirty edges' flows — in the canonical ascending-path order of a full
-   [Flow.edge_flows] scan, which the transposed incidence rows preserve
-   by construction — re-evaluate only dirty edge latencies, and
-   recompute path latencies only for paths incident to a dirty edge.
-   Unchanged inputs through the same pure float expressions give
-   unchanged bits, so the board is bitwise identical to a fresh [post]
-   (the qcheck differential suite pins it down).
+(* The one posting routine behind [post] and [repost]: the only code
+   that computes a new board's edge and path latencies.  The edge
+   latencies are the caller's [edge_latencies] (copied; the board is
+   unclean) or the ones [flow] induces (clean).
 
-   The sparse gather is only sound from a [clean] previous board (its
-   latencies are exactly the ones its flow induces); from an unclean
-   board (fault-injected latencies survive on undirty edges otherwise)
-   the edge side recomputes in full and only the changed set is still
-   extracted for the kernel update. *)
-let repost ?delta:d inst ~prev ~time flow =
-  check_repost_frame ~who:"Bulletin_board.repost" inst ~prev ~flow;
+   Without a previous board, or from an unclean one with induced
+   latencies, every edge and path is computed.  Otherwise the work is
+   sparse: dirty edges are the supplied latencies that moved bits
+   against [prev]'s, or — from a clean [prev] — the edges of paths
+   whose flow moved bits, whose flows are re-gathered in the canonical
+   ascending-path order of a full [Flow.edge_flows] scan (the
+   transposed incidence rows preserve it by construction).  Only paths
+   incident to a dirty edge get their latency recomputed.  Unchanged
+   inputs through the same pure float expressions give unchanged bits,
+   so the board is bitwise identical to the full computation (the
+   qcheck differential suite pins it down).  The sparse gather is only
+   sound from a clean [prev], whose latencies are exactly the ones its
+   flow induces.  With a previous board the changed-path set for
+   [Rate_kernel.update] is extracted into [d]. *)
+let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
+  check_frame ~who inst ~prev ~edge_latencies:supplied flow;
   let n = Instance.path_count inst in
   let ec = edge_count inst in
+  (* Only touched when there is a previous board. *)
   let d = match d with Some d -> d | None -> delta () in
-  ensure d ~edges:ec ~paths:n;
-  let pflow = prev.flow in
-  if prev.clean then begin
-    let offsets = Instance.csr_offsets inst in
-    let edges = Instance.csr_edges inst in
-    d.n_dirty_edges <- 0;
-    for p = 0 to n - 1 do
-      if bits_differ (Vec.unsafe_get flow p) (Vec.unsafe_get pflow p) then
-        for k = offsets.(p) to offsets.(p + 1) - 1 do
-          let e = Array.unsafe_get edges k in
-          if not (Array.unsafe_get d.edge_mark e) then begin
-            Array.unsafe_set d.edge_mark e true;
-            d.dirty_edge.(d.n_dirty_edges) <- e;
-            d.n_dirty_edges <- d.n_dirty_edges + 1
-          end
-        done
-    done;
-    let edge_latencies = Array.copy prev.edge_latencies in
-    let t_off = Instance.edge_csr_offsets inst in
-    let t_paths = Instance.edge_csr_paths inst in
-    for i = 0 to d.n_dirty_edges - 1 do
-      let e = d.dirty_edge.(i) in
-      (* Same skip, same ascending-path accumulation order as
-         [Flow.edge_flows]: identical bits. *)
-      let acc = ref 0. in
-      for k = t_off.(e) to t_off.(e + 1) - 1 do
-        let fp = Vec.unsafe_get flow (Array.unsafe_get t_paths k) in
-        if fp <> 0. then acc := !acc +. fp
-      done;
-      edge_latencies.(e) <- Latency.eval (Instance.latency inst e) !acc;
-      d.edge_mark.(e) <- false
-    done;
-    let path_latencies = Array.copy prev.path_latencies in
-    refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
-    collect_changed d ~n ~flow ~pflow ~path_latencies
-      ~prev_path_latencies:prev.path_latencies;
-    make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~edge_latencies
-      ~clean:true
-  end
-  else begin
-    let edge_latencies =
-      Flow.edge_latencies inst (Flow.edge_flows inst flow)
-    in
-    let path_latencies = path_latencies_of inst ~edge_latencies in
-    (* Full recompute: every edge and path was (re)done. *)
-    d.n_dirty_edges <- ec;
-    d.n_dirty_paths <- n;
-    collect_changed d ~n ~flow ~pflow ~path_latencies
-      ~prev_path_latencies:prev.path_latencies;
-    make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~edge_latencies
-      ~clean:true
-  end
+  let sparse_prev =
+    match prev with
+    | Some p when p.clean || Option.is_some supplied -> prev
+    | _ -> None
+  in
+  let edge_latencies, path_latencies =
+    match sparse_prev with
+    | None ->
+        let edge_latencies =
+          match supplied with
+          | Some el -> Array.copy el
+          | None -> Flow.edge_latencies inst (Flow.edge_flows inst flow)
+        in
+        ( edge_latencies,
+          Array.init n (fun p -> Flow.path_latency inst ~edge_latencies p) )
+    | Some prev ->
+        ensure d ~edges:ec ~paths:n;
+        d.n_dirty_edges <- 0;
+        let edge_latencies =
+          match supplied with
+          | Some el ->
+              for e = 0 to ec - 1 do
+                if bits_differ el.(e) prev.edge_latencies.(e) then begin
+                  d.dirty_edge.(d.n_dirty_edges) <- e;
+                  d.n_dirty_edges <- d.n_dirty_edges + 1
+                end
+              done;
+              Array.copy el
+          | None ->
+              let offsets = Instance.csr_offsets inst in
+              let edges = Instance.csr_edges inst in
+              for p = 0 to n - 1 do
+                if
+                  bits_differ (Vec.unsafe_get flow p)
+                    (Vec.unsafe_get prev.flow p)
+                then
+                  for k = offsets.(p) to offsets.(p + 1) - 1 do
+                    let e = Array.unsafe_get edges k in
+                    if not (Array.unsafe_get d.edge_mark e) then begin
+                      Array.unsafe_set d.edge_mark e true;
+                      d.dirty_edge.(d.n_dirty_edges) <- e;
+                      d.n_dirty_edges <- d.n_dirty_edges + 1
+                    end
+                  done
+              done;
+              let edge_latencies = Array.copy prev.edge_latencies in
+              let t_off = Instance.edge_csr_offsets inst in
+              let t_paths = Instance.edge_csr_paths inst in
+              for i = 0 to d.n_dirty_edges - 1 do
+                let e = d.dirty_edge.(i) in
+                (* Same skip, same ascending-path accumulation order as
+                   [Flow.edge_flows]: identical bits. *)
+                let acc = ref 0. in
+                for k = t_off.(e) to t_off.(e + 1) - 1 do
+                  let fp = Vec.unsafe_get flow (Array.unsafe_get t_paths k) in
+                  if fp <> 0. then acc := !acc +. fp
+                done;
+                edge_latencies.(e) <- Latency.eval (Instance.latency inst e) !acc;
+                d.edge_mark.(e) <- false
+              done;
+              edge_latencies
+        in
+        let path_latencies = Array.copy prev.path_latencies in
+        refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
+        (edge_latencies, path_latencies)
+  in
+  (match prev with
+  | None -> ()
+  | Some prev ->
+      if sparse_prev == None then begin
+        (* Full recompute: every edge and path was (re)done. *)
+        ensure d ~edges:ec ~paths:n;
+        d.n_dirty_edges <- ec;
+        d.n_dirty_paths <- n
+      end;
+      collect_changed d ~n ~flow ~pflow:prev.flow ~path_latencies
+        ~prev_path_latencies:prev.path_latencies);
+  make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~edge_latencies
+    ~clean:(Option.is_none supplied)
 
-(* The delta-aware twin of [post_with], for caller-supplied latencies
-   (fault injection): dirty edges are the ones whose supplied latency
-   moved bits against the previous posting, and only their incident
-   paths' latencies recompute.  A board's path latencies are always
-   consistent with its own edge latencies, so a path with no dirty edge
-   keeps bit-identical latency whether [prev] was clean or not. *)
-let repost_with ?delta:d inst ~prev ~time ~flow ~edge_latencies =
-  if Array.length edge_latencies <> edge_count inst then
-    invalid_arg "Bulletin_board.repost_with: one latency per edge required";
-  check_repost_frame ~who:"Bulletin_board.repost_with" inst ~prev ~flow;
-  let n = Instance.path_count inst in
-  let ec = edge_count inst in
-  let d = match d with Some d -> d | None -> delta () in
-  ensure d ~edges:ec ~paths:n;
-  d.n_dirty_edges <- 0;
-  for e = 0 to ec - 1 do
-    if bits_differ edge_latencies.(e) prev.edge_latencies.(e) then begin
-      d.dirty_edge.(d.n_dirty_edges) <- e;
-      d.n_dirty_edges <- d.n_dirty_edges + 1
-    end
+let post ?edge_latencies inst ~time flow =
+  publish ~who:"Bulletin_board.post" ?edge_latencies inst ~prev:None ~time flow
+
+let repost ?delta ?edge_latencies inst ~prev ~time flow =
+  publish ~who:"Bulletin_board.repost" ?delta ?edge_latencies inst
+    ~prev:(Some prev) ~time flow
+
+let restore inst ~time ~flow ~edge_latencies =
+  (* Checkpoint-resume constructor: [post ~edge_latencies] plus a
+     cleanliness verification on this cold path.  A resumed run must
+     drive the same sparse-vs-full repost decisions (and dirty
+     counters) as the uninterrupted one, so a board whose latencies are
+     exactly the ones its flow induces gets its [clean] bit back. *)
+  let b = post ~edge_latencies inst ~time flow in
+  let induced = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
+  let clean = ref true in
+  for e = 0 to Array.length induced - 1 do
+    if bits_differ induced.(e) b.edge_latencies.(e) then clean := false
   done;
-  let path_latencies = Array.copy prev.path_latencies in
-  refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
-  collect_changed d ~n ~flow ~pflow:prev.flow ~path_latencies
-    ~prev_path_latencies:prev.path_latencies;
-  make_owned ~time ~flow:(Vec.copy flow) ~path_latencies
-    ~edge_latencies:(Array.copy edge_latencies) ~clean:false
+  { b with clean = !clean }
 
 let repost_grown inst ~prev =
   let n = Instance.path_count inst in
@@ -292,4 +287,3 @@ let repost_grown inst ~prev =
 
 let revision b = b.revision
 
-let fresh inst flow = post inst ~time:0. flow

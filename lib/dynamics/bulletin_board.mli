@@ -22,36 +22,34 @@ type t = private {
   revision : int;             (** process-wide post ordinal, see {!revision} *)
   clean : bool;
       (** whether [edge_latencies] are exactly the ones [flow] induces —
-          [true] for {!post}/{!repost} snapshots, [false] for
-          caller-supplied latencies ({!post_with}/{!repost_with}: fault
-          injection posts mixed-age or noisy boards).  {!repost} only
-          trusts the sparse gather from a clean previous board; from an
-          unclean one it recomputes the edge side in full. *)
+          [true] for {!post}/{!repost} snapshots of the flow, [false]
+          when the caller supplied [?edge_latencies] (fault injection
+          posts mixed-age or noisy boards).  {!repost} only trusts the
+          sparse gather from a clean previous board; from an unclean
+          one it recomputes the edge side in full. *)
 }
 
-val post : Instance.t -> time:float -> Flow.t -> t
+val post :
+  ?edge_latencies:float array -> Instance.t -> time:float -> Flow.t -> t
 (** Snapshot the given flow at the given time.  The flow is copied and
     the process-wide {!posts} counter advances — the new board carries a
     strictly larger revision than every earlier one.  The counter is
     atomic: boards posted concurrently from pooled domains still get
-    distinct, strictly increasing revisions. *)
+    distinct, strictly increasing revisions.
 
-val post_with :
-  Instance.t -> time:float -> flow:Flow.t -> edge_latencies:float array -> t
-(** Post a board whose {e edge latencies are supplied by the caller}
-    instead of evaluated at the flow — the constructor behind fault
-    injection ({!Faults}: noisy or partially refreshed boards).  Path
-    latencies are recomputed from the given edge latencies (same
-    summation as {!post}, so a restored board is bit-identical to the
-    original).  Both arrays are copied; the revision counter advances as
-    for {!post}; the board is marked unclean.  Raises
-    [Invalid_argument] if [edge_latencies] does not have one entry per
-    edge. *)
+    [?edge_latencies] posts {e caller-supplied} edge latencies instead
+    of the ones the flow induces — how fault injection ({!Faults})
+    models noisy, partially refreshed or outage-pinned information.
+    The array is copied, path latencies are summed from it exactly as
+    from induced ones, and the board is marked unclean.  Raises
+    [Invalid_argument] when [flow] does not have one entry per path or
+    [edge_latencies] one entry per edge. *)
 
 val restore :
   Instance.t -> time:float -> flow:Flow.t -> edge_latencies:float array -> t
-(** {!post_with}, plus a cleanliness check: when the supplied latencies
-    are bitwise the ones the flow induces, the board is marked clean.
+(** [post ~edge_latencies], plus a cleanliness check: when the supplied
+    latencies are bitwise the ones the flow induces, the board is marked
+    clean.
     The checkpoint-resume constructor — a resumed run must drive the
     same sparse-vs-full {!repost} decisions (and dirty-work counters) as
     the uninterrupted one, and this cold-path verification is what
@@ -60,7 +58,7 @@ val restore :
 (** {1 Delta-aware re-posting} *)
 
 type delta
-(** Persistent scratch for the {!repost} family: dirty-edge and
+(** Persistent scratch for {!repost}: dirty-edge and
     dirty-path marks, their packed lists, and the changed-path set.
     Reusable across reposts (the driver paths allocate one per run), so
     a steady-state repost allocates nothing beyond the new board's own
@@ -89,7 +87,14 @@ val changed_paths : delta -> int array
     first {!changed_count} entries are meaningful; the array is the
     scratch's own buffer (do not mutate, do not hold across reposts). *)
 
-val repost : ?delta:delta -> Instance.t -> prev:t -> time:float -> Flow.t -> t
+val repost :
+  ?delta:delta ->
+  ?edge_latencies:float array ->
+  Instance.t ->
+  prev:t ->
+  time:float ->
+  Flow.t ->
+  t
 (** [repost inst ~prev ~time flow] snapshots [flow] like {!post}, but
     starts from the previous board: only edges incident to a path whose
     flow moved bits get their flow re-gathered (canonical
@@ -99,22 +104,12 @@ val repost : ?delta:delta -> Instance.t -> prev:t -> time:float -> Flow.t -> t
     [post inst ~time flow] — the qcheck differential suite pins it
     down.  From an unclean [prev] (see {!type-t}) the edge side
     recomputes in full instead; the changed set is still extracted.
-    Raises [Invalid_argument] when [flow] or [prev] does not match the
-    instance's dimensions. *)
 
-val repost_with :
-  ?delta:delta ->
-  Instance.t ->
-  prev:t ->
-  time:float ->
-  flow:Flow.t ->
-  edge_latencies:float array ->
-  t
-(** The delta-aware twin of {!post_with} (bitwise identical to it):
-    dirty edges are the supplied latencies that moved bits against
-    [prev]'s, and only their incident paths' latencies recompute.  The
-    board is marked unclean, like {!post_with}'s.  Raises
-    [Invalid_argument] on dimension mismatches. *)
+    With [?edge_latencies] the board is [post ~edge_latencies]'s,
+    bitwise: dirty edges are the supplied latencies that moved bits
+    against [prev]'s, and only their incident paths' latencies
+    recompute.  Raises [Invalid_argument] when [flow], [prev] or
+    [edge_latencies] does not match the instance's dimensions. *)
 
 val repost_grown : Instance.t -> prev:t -> t
 (** Re-post [prev] over a grown active set ([inst] must be an
@@ -122,9 +117,10 @@ val repost_grown : Instance.t -> prev:t -> t
     snapshot time, flow zero-extended, edge latencies {e shared} with
     [prev] (admitted columns carry zero posted flow, so edge flows are
     untouched — boards are immutable), and only the new columns' path
-    latencies computed.  Bitwise identical to the equivalent
-    {!post_with} over the grown instance; cleanliness is inherited from
-    [prev].  Raises [Invalid_argument] when [inst] is smaller than
+    latencies computed.  Bitwise identical to [post ~edge_latencies]
+    of [prev]'s latencies over the grown instance, except that
+    cleanliness is inherited from [prev] (so the next {!repost} stays
+    sparse).  Raises [Invalid_argument] when [inst] is smaller than
     [prev]'s index or over a different graph. *)
 
 val revision : t -> int
@@ -135,8 +131,3 @@ val revision : t -> int
 
 val posts : unit -> int
 (** Total number of boards posted by this process so far. *)
-
-val fresh : Instance.t -> Flow.t -> t
-(** A board that is always exactly current ([posted_at = 0.]); used to
-    model the [T -> 0] (fresh information) limit by re-posting every
-    step. *)

@@ -146,8 +146,8 @@ val run :
     [Path_growth] event per column, then one [Board_repost] +
     [Kernel_rebuild] pair (a grown set is a new revision — the board is
     re-posted over the grown index with the same snapshot time and edge
-    latencies, and the kernel recompiles incrementally via
-    {!Rate_kernel.grow}).  A [paths_grown] counter is maintained when
+    latencies, and the kernel is compiled afresh by
+    {!Rate_kernel.build} over the grown instance).  A [paths_grown] counter is maintained when
     [metrics] is live (created only when [colgen] is supplied, so
     colgen-free metric snapshots are unchanged).  Growth is a pure
     function of the posted board and the tolerance — same-seed runs

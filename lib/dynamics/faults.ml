@@ -356,50 +356,38 @@ let apply_down down latencies =
   latencies
 
 let board ?delta ?down t ~index fault inst ~time ~prev flow =
-  match (fault, prev) with
-  | Some (Partial fraction), Some old ->
-      (* The fresh latencies are computed for every edge even though
-         only the refreshed subset survives: the per-edge RNG draws
-         must consume the stream in edge order regardless of the
-         subset, so the plan stays a pure function of (seed, index).
-         Dead edges are pinned *after* the mix — a partial refresh can
-         not resurrect a dead edge, though it may keep a recovered one
-         posted dead for another phase (mixed-age boards are
-         inconsistent by design). *)
-      let fresh = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
-      let stale = old.Bulletin_board.edge_latencies in
-      let rng = rng_for t ~index ~stream:1 in
-      let mixed =
-        Array.mapi
-          (fun e fresh_e ->
-            if Rng.uniform rng < fraction then fresh_e else stale.(e))
-          fresh
-      in
-      let mixed = apply_down down mixed in
-      Bulletin_board.repost_with ?delta inst ~prev:old ~time ~flow
-        ~edge_latencies:mixed
-  | Some (Noise sigma), _ -> (
-      let fresh = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
-      let rng = rng_for t ~index ~stream:2 in
-      let noisy =
-        Array.map (fun l -> l *. exp (sigma *. Rng.gaussian rng)) fresh
-      in
-      let noisy = apply_down down noisy in
-      match prev with
-      | Some old ->
-          Bulletin_board.repost_with ?delta inst ~prev:old ~time ~flow
-            ~edge_latencies:noisy
-      | None ->
-          Bulletin_board.post_with inst ~time ~flow ~edge_latencies:noisy)
-  | _, Some old -> (
-      match down with
-      | None -> Bulletin_board.repost ?delta inst ~prev:old ~time flow
-      | Some d ->
-          Bulletin_board.repost_with ?delta inst ~prev:old ~time ~flow
-            ~edge_latencies:(dead_edge_latencies inst ~down:d flow))
-  | _ -> (
-      match down with
-      | None -> Bulletin_board.post inst ~time flow
-      | Some d ->
-          Bulletin_board.post_with inst ~time ~flow
-            ~edge_latencies:(dead_edge_latencies inst ~down:d flow))
+  let edge_latencies =
+    match (fault, prev) with
+    | Some (Partial fraction), Some old ->
+        (* The fresh latencies are computed for every edge even though
+           only the refreshed subset survives: the per-edge RNG draws
+           must consume the stream in edge order regardless of the
+           subset, so the plan stays a pure function of (seed, index).
+           Dead edges are pinned *after* the mix — a partial refresh
+           can not resurrect a dead edge, though it may keep a
+           recovered one posted dead for another phase (mixed-age
+           boards are inconsistent by design). *)
+        let fresh = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
+        let stale = old.Bulletin_board.edge_latencies in
+        let rng = rng_for t ~index ~stream:1 in
+        Some
+          (apply_down down
+             (Array.mapi
+                (fun e fresh_e ->
+                  if Rng.uniform rng < fraction then fresh_e else stale.(e))
+                fresh))
+    | Some (Noise sigma), _ ->
+        let fresh = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
+        let rng = rng_for t ~index ~stream:2 in
+        Some
+          (apply_down down
+             (Array.map (fun l -> l *. exp (sigma *. Rng.gaussian rng)) fresh))
+    | _ -> (
+        match down with
+        | None -> None
+        | Some d -> Some (dead_edge_latencies inst ~down:d flow))
+  in
+  match prev with
+  | Some prev ->
+      Bulletin_board.repost ?delta ?edge_latencies inst ~prev ~time flow
+  | None -> Bulletin_board.post ?edge_latencies inst ~time flow

@@ -149,11 +149,12 @@ val board :
     down-set is non-empty: an all-alive outage state takes the same
     clean [repost] path, bit for bit, as a run with no outage plan.
 
-    When [prev] is available the board is built by the delta-aware
-    {!Bulletin_board.repost} / {!Bulletin_board.repost_with} (bitwise
-    identical to the fresh constructors); pass [?delta] to reuse
-    scratch across calls and to read the dirty-work counts and the
-    changed-path set afterwards. *)
+    The faulted or outage-pinned latencies become one
+    [?edge_latencies] override, posted by the delta-aware
+    {!Bulletin_board.repost} when [prev] is available (bitwise
+    identical to {!Bulletin_board.post}) and by {!Bulletin_board.post}
+    otherwise; pass [?delta] to reuse scratch across calls and to read
+    the dirty-work counts and the changed-path set afterwards. *)
 
 (** {1 Topology outages} *)
 

@@ -11,78 +11,83 @@ type t = {
   mat : float array;  (* row-major dense blocks, R_PP = 0 *)
   row_sum : float array;  (* total outflow rate per unit mass, global index *)
   mutable board : Bulletin_board.t;  (* the posting the entries encode *)
-  (* Scratch for [update], allocated once at build time so the
-     per-repost refresh stays allocation-free.  All three are sized to
-     the largest commodity and only meaningful inside one commodity's
-     refresh. *)
+  (* Compiler scratch, allocated once at build time so [update] stays
+     allocation-free.  All three are sized to the largest commodity and
+     only meaningful inside one commodity's compile. *)
   sigma : float array;
   lat_dirty : bool array;  (* local index: posted latency bits changed *)
   col_dirty : bool array;  (* local index: sigma_b or ell_Q changed *)
 }
 
-(* [update] must be bitwise identical to a fresh [build] against the
-   same board: checkpoint/resume reconstructs kernels with [build]
-   while the uninterrupted run reaches the same posting through a chain
-   of updates, and the byte-identity contract of resumed traces rides
-   on the two producing the very same rates.  Everything below is
-   therefore organised around recomputing entries with exactly the
-   expressions (and accumulation order) of the build path, and reusing
-   stored entries only when their inputs are bit-unchanged. *)
+(* Every σ·µ entry and every row sum a kernel holds is written by one
+   function, [compile_block], for [build] and [update] alike.  That is
+   what keeps an update chain bitwise identical to a fresh build
+   (checkpoint/resume reconstructs kernels with [build] while the
+   uninterrupted run reaches the same posting through updates): the
+   two can only differ in which entries they recompute, and an entry
+   is reused only when its inputs are bit-unchanged. *)
 
-(* Migration probabilities, decoded once per [update] so the m*m
-   refresh loops dispatch on an immediate int instead of calling
-   [Migration.prob] per pair (a cross-module call that boxes all three
-   floats).  The inline arms in [refresh_row]/[refresh_row_cols]
-   replicate [Migration.prob] (including [Numerics.clamp] =
-   [Float.min hi (Float.max lo x)]) expression for expression — any
-   drift breaks the update/build bit-identity the qcheck suite pins
-   down.  [build] itself keeps the generic per-pair call: it is the
-   semantic anchor the identity tests compare the inline arms
-   against. *)
-let mig_better_response = 0
-let mig_linear = 1
-let mig_scaled = 2
-let mig_relative = 3
-let mig_custom = 4
+(* µ(ℓ_P, ℓ_Q): [Migration.prob] arm for arm, with [Numerics.clamp]
+   spelled out as [Float.min hi (Float.max lo x)].  Inlined so the
+   entry loop neither boxes the floats nor makes a cross-module call
+   per pair; [Custom] goes through its closure.  A test pins every arm
+   to [Migration.prob] bit for bit. *)
+let[@inline] mu migration lp lq =
+  match migration with
+  | Migration.Better_response -> if lp > lq then 1. else 0.
+  | Migration.Linear { ell_max } ->
+      if lp > lq then Float.min 1. (Float.max 0. ((lp -. lq) /. ell_max))
+      else 0.
+  | Migration.Scaled_linear { alpha } ->
+      if lp > lq then Float.min 1. (Float.max 0. (alpha *. (lp -. lq)))
+      else 0.
+  | Migration.Relative { scale } ->
+      if lp > lq && lp > 0. then
+        Float.min 1. (Float.max 0. (scale *. (lp -. lq) /. lp))
+      else 0.
+  | Migration.Custom { prob; _ } -> prob ~ell_p:lp ~ell_q:lq
 
-let decode_migration = function
-  | Migration.Better_response -> (mig_better_response, 0.)
-  | Migration.Linear { ell_max } -> (mig_linear, ell_max)
-  | Migration.Scaled_linear { alpha } -> (mig_scaled, alpha)
-  | Migration.Relative { scale } -> (mig_relative, scale)
-  | Migration.Custom _ -> (mig_custom, 0.)
-
-(* One commodity's sigma·mu block: writes only mat rows inside the
-   commodity's [mat_off] slice and row_sum entries of its own paths, so
-   distinct commodities touch disjoint indices and can compile
-   concurrently.  [sigma] is per-call scratch. *)
-let compile_commodity inst sampling migration ~origin_indep ~paths_of ~mat_off
-    ~mat ~row_sum ~lat ~bflow ~sigma ci =
-  let ps = paths_of.(ci) in
+(* Compile commodity [ci]'s block against [board].  With [~full] every
+   entry is computed; otherwise rows flagged in [t.lat_dirty] (local
+   index) are computed in full and every other row only at the columns
+   flagged in [t.col_dirty].  Row sums are re-accumulated in b-order
+   over the stored entries either way, so they come out bit-identical
+   to a full compile.  Only the commodity's own [mat] slice and
+   [row_sum] entries are written, so distinct commodities compile
+   concurrently; [sigma] is per-call scratch.  Origin-dependent
+   sampling recomputes σ per row. *)
+let compile_block t ~full ~sigma ~board ci =
+  let lat = board.Bulletin_board.path_latencies in
+  let flow = board.Bulletin_board.flow in
+  let sampling = t.policy.Policy.sampling in
+  let migration = t.policy.Policy.migration in
+  let origin_indep = Sampling.origin_independent sampling in
+  let ps = t.paths_of.(ci) in
   let m = Array.length ps in
-  let off = mat_off.(ci) in
+  let off = t.mat_off.(ci) in
+  let mat = t.mat in
   if origin_indep then
-    Sampling.distribution_into sampling inst ~commodity:ci ~flow:bflow
+    Sampling.distribution_into sampling t.inst ~commodity:ci ~flow
       ~latencies:lat ~from_:ps.(0) ~dst:sigma;
   for a = 0 to m - 1 do
-    let p = ps.(a) in
+    let p = Array.unsafe_get ps a in
     if not origin_indep then
-      Sampling.distribution_into sampling inst ~commodity:ci ~flow:bflow
+      Sampling.distribution_into sampling t.inst ~commodity:ci ~flow
         ~latencies:lat ~from_:p ~dst:sigma;
+    let lp = Array.unsafe_get lat p in
     let base = off + (a * m) in
+    let whole = full || Array.unsafe_get t.lat_dirty a in
     let sum = ref 0. in
     for b = 0 to m - 1 do
       if b <> a then begin
-        let q = ps.(b) in
-        let r =
-          sigma.(b)
-          *. Migration.prob migration ~ell_p:lat.(p) ~ell_q:lat.(q)
-        in
-        mat.(base + b) <- r;
-        sum := !sum +. r
+        if whole || Array.unsafe_get t.col_dirty b then
+          Array.unsafe_set mat (base + b)
+            (Array.unsafe_get sigma b
+            *. mu migration lp (Array.unsafe_get lat (Array.unsafe_get ps b)));
+        sum := !sum +. Array.unsafe_get mat (base + b)
       end
     done;
-    row_sum.(p) <- !sum
+    t.row_sum.(p) <- !sum
   done
 
 let entry_count inst =
@@ -93,6 +98,12 @@ let entry_count inst =
     total := !total + (m * m)
   done;
   !total
+
+let check_board ~who n board =
+  if
+    Array.length board.Bulletin_board.path_latencies <> n
+    || Vec.dim board.Bulletin_board.flow <> n
+  then invalid_arg (who ^ ": board is over a different instance")
 
 (* Sharding a build across domains only pays once a kernel is large:
    below roughly this many matrix entries the per-commodity task
@@ -105,359 +116,175 @@ let default_shard_min_entries = 65536
 let build ?pool ?(shard_min_entries = default_shard_min_entries) inst policy
     ~board =
   let n = Instance.path_count inst in
+  check_board ~who:"Rate_kernel.build" n board;
   let nc = Instance.commodity_count inst in
   let mat_off = Array.make (nc + 1) 0 in
   for ci = 0 to nc - 1 do
     let m = Array.length (Instance.paths_of_commodity inst ci) in
     mat_off.(ci + 1) <- mat_off.(ci) + (m * m)
   done;
-  let mat = Array.make (max 1 mat_off.(nc)) 0. in
-  let row_sum = Array.make n 0. in
-  let lat = board.Bulletin_board.path_latencies in
-  let bflow = board.Bulletin_board.flow in
-  let sampling = policy.Policy.sampling in
-  let migration = policy.Policy.migration in
-  let origin_indep = Sampling.origin_independent sampling in
-  let paths_of = Array.init nc (Instance.paths_of_commodity inst) in
-  let compile ~sigma ci =
-    compile_commodity inst sampling migration ~origin_indep ~paths_of ~mat_off
-      ~mat ~row_sum ~lat ~bflow ~sigma ci
-  in
   let scratch_dim = max 1 (Instance.max_paths_in_commodity inst) in
+  let t =
+    {
+      inst;
+      policy;
+      n;
+      commodities = nc;
+      paths_of = Array.init nc (Instance.paths_of_commodity inst);
+      mat_off;
+      mat = Array.make (max 1 mat_off.(nc)) 0.;
+      row_sum = Array.make n 0.;
+      board;
+      sigma = Array.make scratch_dim 0.;
+      lat_dirty = Array.make scratch_dim false;
+      col_dirty = Array.make scratch_dim false;
+    }
+  in
   (match pool with
   | Some _ when mat_off.(nc) >= shard_min_entries ->
       Staleroute_util.Pool.parallel_iter ~pool
-        (fun ci -> compile ~sigma:(Array.make scratch_dim 0.) ci)
+        (fun ci ->
+          compile_block t ~full:true ~sigma:(Array.make scratch_dim 0.) ~board
+            ci)
         (Array.init nc Fun.id)
   | _ ->
-      let sigma = Array.make scratch_dim 0. in
       for ci = 0 to nc - 1 do
-        compile ~sigma ci
+        compile_block t ~full:true ~sigma:t.sigma ~board ci
       done);
-  {
-    inst;
-    policy;
-    n;
-    commodities = nc;
-    paths_of;
-    mat_off;
-    mat;
-    row_sum;
-    board;
-    sigma = Array.make scratch_dim 0.;
-    lat_dirty = Array.make scratch_dim false;
-    col_dirty = Array.make scratch_dim false;
-  }
-
-(* Recompute row [a] of commodity [ci] in full, assuming [t.sigma]
-   already holds the commodity's fresh sampling distribution.  Entry
-   expressions and the accumulation order match [compile_commodity]
-   exactly. *)
-let refresh_row t ~lat ~mig_kind ~mig_prm ~ps ~m ~off a =
-  let p = Array.unsafe_get ps a in
-  let lp = Array.unsafe_get lat p in
-  let base = off + (a * m) in
-  let sigma = t.sigma and mat = t.mat in
-  let sum = ref 0. in
-  for b = 0 to m - 1 do
-    if b <> a then begin
-      let q = Array.unsafe_get ps b in
-      let lq = Array.unsafe_get lat q in
-      let mu =
-        if mig_kind = mig_better_response then if lp > lq then 1. else 0.
-        else if mig_kind = mig_linear then
-          if lp > lq then Float.min 1. (Float.max 0. ((lp -. lq) /. mig_prm))
-          else 0.
-        else if mig_kind = mig_scaled then
-          if lp > lq then Float.min 1. (Float.max 0. (mig_prm *. (lp -. lq)))
-          else 0.
-        else if lp > lq && lp > 0. then
-          Float.min 1. (Float.max 0. (mig_prm *. (lp -. lq) /. lp))
-        else 0.
-      in
-      let r = Array.unsafe_get sigma b *. mu in
-      Array.unsafe_set mat (base + b) r;
-      sum := !sum +. r
-    end
-  done;
-  t.row_sum.(p) <- !sum
-
-(* Recompute only the dirty columns of row [a], then re-accumulate the
-   row sum over all of it.  Untouched entries are bit-identical to what
-   a fresh build would compute (same inputs, same expression), and the
-   re-accumulation walks the row in the same b-order as the build, so
-   the sum comes out bit-identical too. *)
-let refresh_row_cols t ~lat ~mig_kind ~mig_prm ~ps ~m ~off a =
-  let p = Array.unsafe_get ps a in
-  let lp = Array.unsafe_get lat p in
-  let base = off + (a * m) in
-  let sigma = t.sigma and mat = t.mat and col_dirty = t.col_dirty in
-  for b = 0 to m - 1 do
-    if b <> a && Array.unsafe_get col_dirty b then begin
-      let q = Array.unsafe_get ps b in
-      let lq = Array.unsafe_get lat q in
-      let mu =
-        if mig_kind = mig_better_response then if lp > lq then 1. else 0.
-        else if mig_kind = mig_linear then
-          if lp > lq then Float.min 1. (Float.max 0. ((lp -. lq) /. mig_prm))
-          else 0.
-        else if mig_kind = mig_scaled then
-          if lp > lq then Float.min 1. (Float.max 0. (mig_prm *. (lp -. lq)))
-          else 0.
-        else if lp > lq && lp > 0. then
-          Float.min 1. (Float.max 0. (mig_prm *. (lp -. lq) /. lp))
-        else 0.
-      in
-      Array.unsafe_set mat (base + b) (Array.unsafe_get sigma b *. mu)
-    end
-  done;
-  let sum = ref 0. in
-  for b = 0 to m - 1 do
-    if b <> a then sum := !sum +. Array.unsafe_get mat (base + b)
-  done;
-  t.row_sum.(p) <- !sum
+  t
 
 let[@inline] bits_differ a b = Int64.bits_of_float a <> Int64.bits_of_float b
 
-(* Refresh one commodity's block from freshly set dirty flags
-   ([t.lat_dirty]/[t.col_dirty] over local indices, [any_lat]/[any_col]
-   their disjunctions).  Shared by [update]'s full scan and its
-   changed-set path.  Rows with a dirty latency recompute in full (the
-   row's mu factor changed everywhere); other rows recompute dirty
-   columns only.  A block with no dirty flag at all is skipped outright:
-   its stored entries and b-order row sums were computed by the very
-   expressions a fresh build would run on the very same bits. *)
-let refresh_commodity t ~lat ~bflow ~sampling ~mig_kind ~mig_prm ~ci ~any_lat
-    ~any_col =
-  let ps = t.paths_of.(ci) in
-  let m = Array.length ps in
-  let off = t.mat_off.(ci) in
-  match sampling with
+(* Recompile one commodity from freshly set dirty flags ([any_lat]/
+   [any_col] their disjunctions).  A block with no dirty flag is
+   skipped outright: its stored entries were computed by
+   [compile_block] on the very same bits. *)
+let refresh t ~board ~any_lat ~any_col ci =
+  match t.policy.Policy.sampling with
   | Sampling.Logit _ ->
       (* Softmax normalisation couples every sigma entry to every
          latency in the commodity; the whole block refreshes or none of
          it does (sigma and mu both read latencies only). *)
-      if any_lat then begin
-        Sampling.distribution_into sampling t.inst ~commodity:ci ~flow:bflow
-          ~latencies:lat ~from_:ps.(0) ~dst:t.sigma;
-        for a = 0 to m - 1 do
-          refresh_row t ~lat ~mig_kind ~mig_prm ~ps ~m ~off a
-        done
-      end
+      if any_lat then compile_block t ~full:true ~sigma:t.sigma ~board ci
   | _ ->
-      if any_lat || any_col then begin
-        Sampling.distribution_into sampling t.inst ~commodity:ci ~flow:bflow
-          ~latencies:lat ~from_:ps.(0) ~dst:t.sigma;
-        for a = 0 to m - 1 do
-          if Array.unsafe_get t.lat_dirty a then
-            refresh_row t ~lat ~mig_kind ~mig_prm ~ps ~m ~off a
-          else refresh_row_cols t ~lat ~mig_kind ~mig_prm ~ps ~m ~off a
-        done
-      end
+      if any_lat || any_col then
+        compile_block t ~full:false ~sigma:t.sigma ~board ci
 
 let update ?changed t ~board =
+  check_board ~who:"Rate_kernel.update" t.n board;
   let old = t.board in
   let lat = board.Bulletin_board.path_latencies in
   let olat = old.Bulletin_board.path_latencies in
   let bflow = board.Bulletin_board.flow in
   let obflow = old.Bulletin_board.flow in
   let sampling = t.policy.Policy.sampling in
-  let migration = t.policy.Policy.migration in
-  let mig_kind, mig_prm = decode_migration migration in
-  let incremental =
-    Sampling.origin_independent sampling && mig_kind <> mig_custom
-  in
-  if not incremental then
-    (* Custom sampling or migration: the closures may not be pure
-       functions of the posted data, and a fresh build would re-invoke
-       them — so must we (the changed set is ignored).  Still an
-       in-place recompile: no arrays are reallocated. *)
-    for ci = 0 to t.commodities - 1 do
-      compile_commodity t.inst sampling migration
-        ~origin_indep:(Sampling.origin_independent sampling)
-        ~paths_of:t.paths_of ~mat_off:t.mat_off ~mat:t.mat
-        ~row_sum:t.row_sum ~lat ~bflow ~sigma:t.sigma ci
-    done
-  else begin
-    match changed with
-    | None ->
-        for ci = 0 to t.commodities - 1 do
-          let ps = t.paths_of.(ci) in
-          let m = Array.length ps in
-          let lat_dirty = t.lat_dirty and col_dirty = t.col_dirty in
-          let any_lat = ref false in
-          for j = 0 to m - 1 do
-            let q = Array.unsafe_get ps j in
-            let ch =
-              bits_differ (Array.unsafe_get lat q) (Array.unsafe_get olat q)
-            in
-            Array.unsafe_set lat_dirty j ch;
-            if ch then any_lat := true
-          done;
-          let any_col = ref false in
-          (match sampling with
-          | Sampling.Logit _ -> () (* whole-block; flags unused *)
-          | Sampling.Uniform ->
-              for j = 0 to m - 1 do
-                let d = Array.unsafe_get lat_dirty j in
-                Array.unsafe_set col_dirty j d;
-                if d then any_col := true
-              done
-          | Sampling.Proportional | Sampling.Mixed _ ->
-              (* sigma_b depends on nothing (Uniform) or only on the
-                 posted flow of path b (Proportional/Mixed), so entry
-                 (a,b) is stale exactly when ell_a, ell_b or sigma_b
-                 moved. *)
-              for j = 0 to m - 1 do
-                let q = Array.unsafe_get ps j in
-                let d =
-                  Array.unsafe_get lat_dirty j
-                  || bits_differ (Vec.unsafe_get bflow q)
-                       (Vec.unsafe_get obflow q)
-                in
-                Array.unsafe_set col_dirty j d;
-                if d then any_col := true
-              done
-          | Sampling.Custom _ -> assert false (* not incremental *));
-          refresh_commodity t ~lat ~bflow ~sampling ~mig_kind ~mig_prm ~ci
-            ~any_lat:!any_lat ~any_col:!any_col
-        done
-    | Some (chg, count) ->
-        (* The caller (a delta repost) guarantees every path outside
-           [chg.(0 .. count-1)] has bit-unchanged posted latency AND
-           flow, so only commodities owning a listed path need looking
-           at.  The list is ascending, but after [Instance.extend] a
-           commodity's paths may occupy several ascending runs of the
-           global index — each run is processed independently, which is
-           sound: entries always recompute from the {e new} board, so a
-           second pass over the same commodity is bitwise idempotent,
-           and any row sum transiently accumulated against a
-           not-yet-refreshed column is re-accumulated by that later
-           pass (a dirty column implies [any_col], which re-sums every
-           row of the block). *)
-        let i = ref 0 in
-        while !i < count do
-          let ci = Instance.commodity_of_path t.inst chg.(!i) in
-          let stop = ref (!i + 1) in
-          while
-            !stop < count && Instance.commodity_of_path t.inst chg.(!stop) = ci
-          do
-            incr stop
-          done;
-          let ps = t.paths_of.(ci) in
-          let m = Array.length ps in
-          Array.fill t.lat_dirty 0 m false;
-          Array.fill t.col_dirty 0 m false;
-          let any_lat = ref false and any_col = ref false in
-          for x = !i to !stop - 1 do
-            let q = chg.(x) in
-            let jl = Instance.local_index_of_path t.inst q in
-            let ch =
-              bits_differ (Array.unsafe_get lat q) (Array.unsafe_get olat q)
-            in
-            if ch then begin
-              t.lat_dirty.(jl) <- true;
-              any_lat := true
-            end;
-            let cd =
-              match sampling with
-              | Sampling.Uniform | Sampling.Logit _ -> ch
-              | _ ->
-                  ch
-                  || bits_differ (Vec.unsafe_get bflow q)
-                       (Vec.unsafe_get obflow q)
-            in
-            if cd then begin
-              t.col_dirty.(jl) <- true;
-              any_col := true
-            end
-          done;
-          refresh_commodity t ~lat ~bflow ~sampling ~mig_kind ~mig_prm ~ci
-            ~any_lat:!any_lat ~any_col:!any_col;
-          i := !stop
-        done
-  end;
+  (match (sampling, t.policy.Policy.migration) with
+  | Sampling.Custom _, _ | _, Migration.Custom _ ->
+      (* The closures may not be pure functions of the posted data, and
+         a fresh build would re-invoke them — so must we (the changed
+         set is ignored).  Still an in-place recompile: no arrays are
+         reallocated. *)
+      for ci = 0 to t.commodities - 1 do
+        compile_block t ~full:true ~sigma:t.sigma ~board ci
+      done
+  | _ -> (
+      match changed with
+      | None ->
+          for ci = 0 to t.commodities - 1 do
+            let ps = t.paths_of.(ci) in
+            let m = Array.length ps in
+            let lat_dirty = t.lat_dirty and col_dirty = t.col_dirty in
+            let any_lat = ref false in
+            for j = 0 to m - 1 do
+              let q = Array.unsafe_get ps j in
+              let ch =
+                bits_differ (Array.unsafe_get lat q) (Array.unsafe_get olat q)
+              in
+              Array.unsafe_set lat_dirty j ch;
+              if ch then any_lat := true
+            done;
+            let any_col = ref false in
+            (match sampling with
+            | Sampling.Logit _ -> () (* whole-block; flags unused *)
+            | Sampling.Uniform ->
+                for j = 0 to m - 1 do
+                  let d = Array.unsafe_get lat_dirty j in
+                  Array.unsafe_set col_dirty j d;
+                  if d then any_col := true
+                done
+            | Sampling.Proportional | Sampling.Mixed _ ->
+                (* sigma_b depends only on the posted flow of path b,
+                   so entry (a,b) is stale exactly when ell_a, ell_b or
+                   sigma_b moved. *)
+                for j = 0 to m - 1 do
+                  let q = Array.unsafe_get ps j in
+                  let d =
+                    Array.unsafe_get lat_dirty j
+                    || bits_differ (Vec.unsafe_get bflow q)
+                         (Vec.unsafe_get obflow q)
+                  in
+                  Array.unsafe_set col_dirty j d;
+                  if d then any_col := true
+                done
+            | Sampling.Custom _ -> assert false (* recompiled above *));
+            refresh t ~board ~any_lat:!any_lat ~any_col:!any_col ci
+          done
+      | Some (chg, count) ->
+          (* The caller (a delta repost) guarantees every path outside
+             [chg.(0 .. count-1)] has bit-unchanged posted latency AND
+             flow, so only commodities owning a listed path need
+             looking at.  The list is ascending, but after
+             [Instance.extend] a commodity's paths may occupy several
+             ascending runs of the global index — each run is processed
+             independently, which is sound: entries always recompute
+             from the {e new} board, so a second pass over the same
+             commodity is bitwise idempotent, and any row sum
+             transiently accumulated against a not-yet-refreshed column
+             is re-accumulated by that later pass (a dirty column
+             implies [any_col], which re-sums every row of the
+             block). *)
+          let i = ref 0 in
+          while !i < count do
+            let ci = Instance.commodity_of_path t.inst chg.(!i) in
+            let stop = ref (!i + 1) in
+            while
+              !stop < count
+              && Instance.commodity_of_path t.inst chg.(!stop) = ci
+            do
+              incr stop
+            done;
+            let m = Array.length t.paths_of.(ci) in
+            Array.fill t.lat_dirty 0 m false;
+            Array.fill t.col_dirty 0 m false;
+            let any_lat = ref false and any_col = ref false in
+            for x = !i to !stop - 1 do
+              let q = chg.(x) in
+              let jl = Instance.local_index_of_path t.inst q in
+              let ch =
+                bits_differ (Array.unsafe_get lat q) (Array.unsafe_get olat q)
+              in
+              if ch then begin
+                t.lat_dirty.(jl) <- true;
+                any_lat := true
+              end;
+              let cd =
+                match sampling with
+                | Sampling.Uniform | Sampling.Logit _ -> ch
+                | _ ->
+                    ch
+                    || bits_differ (Vec.unsafe_get bflow q)
+                         (Vec.unsafe_get obflow q)
+              in
+              if cd then begin
+                t.col_dirty.(jl) <- true;
+                any_col := true
+              end
+            done;
+            refresh t ~board ~any_lat:!any_lat ~any_col:!any_col ci;
+            i := !stop
+          done));
   t.board <- board;
   t
-
-(* Growth recompile: the active path set grew ([Instance.extend]) and
-   the grown instance's board was re-posted.  Arrays must be
-   reallocated (block sizes changed), but a commodity whose path set
-   did not grow — provable by the physical identity of its [paths_of]
-   array, which [Instance.extend] deliberately shares — and whose
-   posted inputs are bit-unchanged on those paths gets its σ·µ block
-   and row sums {e copied} instead of recompiled: the entries were
-   computed by the very expressions a fresh build would run on the very
-   same bits.  Everything else goes through [compile_commodity], the
-   build path itself, so the result is bitwise identical to
-   [build inst policy ~board] (qcheck pins it down, like [update]'s). *)
-let grow prev inst ~board =
-  let n = Instance.path_count inst in
-  let nc = Instance.commodity_count inst in
-  if nc <> prev.commodities then
-    invalid_arg "Rate_kernel.grow: commodity count changed";
-  if n < prev.n then
-    invalid_arg "Rate_kernel.grow: the path set shrank";
-  let mat_off = Array.make (nc + 1) 0 in
-  for ci = 0 to nc - 1 do
-    let m = Array.length (Instance.paths_of_commodity inst ci) in
-    mat_off.(ci + 1) <- mat_off.(ci) + (m * m)
-  done;
-  let mat = Array.make (max 1 mat_off.(nc)) 0. in
-  let row_sum = Array.make n 0. in
-  let lat = board.Bulletin_board.path_latencies in
-  let bflow = board.Bulletin_board.flow in
-  let olat = prev.board.Bulletin_board.path_latencies in
-  let obflow = prev.board.Bulletin_board.flow in
-  let sampling = prev.policy.Policy.sampling in
-  let migration = prev.policy.Policy.migration in
-  let origin_indep = Sampling.origin_independent sampling in
-  let pure_policy =
-    (match sampling with Sampling.Custom _ -> false | _ -> true)
-    && match migration with Migration.Custom _ -> false | _ -> true
-  in
-  let paths_of = Array.init nc (Instance.paths_of_commodity inst) in
-  let scratch_dim = max 1 (Instance.max_paths_in_commodity inst) in
-  let sigma = Array.make scratch_dim 0. in
-  for ci = 0 to nc - 1 do
-    let ps = paths_of.(ci) in
-    let copyable =
-      pure_policy
-      && ps == prev.paths_of.(ci)
-      &&
-      let ok = ref true in
-      Array.iter
-        (fun p ->
-          if
-            bits_differ lat.(p) olat.(p)
-            || bits_differ (Vec.unsafe_get bflow p) (Vec.unsafe_get obflow p)
-          then ok := false)
-        ps;
-      !ok
-    in
-    if copyable then begin
-      let m = Array.length ps in
-      Array.blit prev.mat prev.mat_off.(ci) mat mat_off.(ci) (m * m);
-      Array.iter (fun p -> row_sum.(p) <- prev.row_sum.(p)) ps
-    end
-    else
-      compile_commodity inst sampling migration ~origin_indep ~paths_of
-        ~mat_off ~mat ~row_sum ~lat ~bflow ~sigma ci
-  done;
-  {
-    inst;
-    policy = prev.policy;
-    n;
-    commodities = nc;
-    paths_of;
-    mat_off;
-    mat;
-    row_sum;
-    board;
-    sigma;
-    lat_dirty = Array.make scratch_dim false;
-    col_dirty = Array.make scratch_dim false;
-  }
 
 let dim t = t.n
 let revision t = Bulletin_board.revision t.board

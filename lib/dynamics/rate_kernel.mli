@@ -50,7 +50,11 @@ val build :
     small builds ignore the pool.  Pass [~shard_min_entries:0] to force
     sharding whenever a pool is supplied.  Do not pass a pool from
     inside a pool task — builds on the driver paths run within
-    experiment tasks and must stay sequential there (the default). *)
+    experiment tasks and must stay sequential there (the default).
+
+    Raises [Invalid_argument "Rate_kernel.build: board is over a
+    different instance"] when the board's path count or flow dimension
+    is not the instance's. *)
 
 val update : ?changed:int array * int -> t -> board:Bulletin_board.t -> t
 (** [update t ~board] recompiles [t] {e in place} against a newly
@@ -58,9 +62,11 @@ val update : ?changed:int array * int -> t -> board:Bulletin_board.t -> t
     path latencies, and for flow-dependent samplings the posted flow)
     changed bits since the board [t] was compiled against are
     recomputed, and nothing is allocated.  The result is {b bitwise
-    identical} to [build inst policy ~board] — checkpoint/resume
-    reconstructs kernels with {!build} mid-chain and the byte-identity
-    of resumed traces rides on the equivalence (qcheck pins it down).
+    identical} to [build inst policy ~board]: both run the same block
+    compiler, and an entry is reused only when its inputs are
+    bit-unchanged.  Checkpoint/resume reconstructs kernels with {!build}
+    mid-chain and the byte-identity of resumed traces rides on the
+    equivalence (qcheck pins it down).
 
     [?changed:(paths, count)] narrows the dirty scan to the first
     [count] entries of [paths] — ascending global indices such that
@@ -77,22 +83,10 @@ val update : ?changed:int array * int -> t -> board:Bulletin_board.t -> t
     or migration fall back to a full (still allocation-free) in-place
     recompile — the closures are re-invoked exactly as a fresh build
     would, and [?changed] is ignored.  {!revision} advances to the new
-    board's revision, exactly as a rebuild. *)
-
-val grow : t -> Instance.t -> board:Bulletin_board.t -> t
-(** [grow prev inst ~board] compiles a kernel for a {e grown} active
-    path set: [inst] must be an {!Instance.extend} of the instance
-    [prev] was built over, and [board] the posting over [inst].  A
-    fresh kernel is allocated (block sizes changed), but commodities
-    whose path set did not grow — proven by the physical identity of
-    their [paths_of_commodity] arrays, which [Instance.extend]
-    preserves — and whose posted latencies and flow are bit-unchanged
-    on those paths get their σ·µ blocks and row sums copied from
-    [prev]; only grown (or changed) commodities recompile.  The result
-    is {b bitwise identical} to [build inst policy ~board] (qcheck pins
-    it down); policies with [Custom] sampling or migration recompile
-    every block, exactly as {!update} falls back.  [prev] is left
-    intact and stays valid for its own board. *)
+    board's revision, exactly as a rebuild.  Raises
+    [Invalid_argument "Rate_kernel.update: board is over a different
+    instance"] when the board's path count or flow dimension is not the
+    kernel's. *)
 
 val dim : t -> int
 (** Size of the global path index the kernel was built over. *)

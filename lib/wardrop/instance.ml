@@ -271,9 +271,8 @@ let extend t ~paths =
         commodity_of_path.(g) <- ci;
         added_per_ci.(ci) <- g :: added_per_ci.(ci))
       added;
-    (* Ungrown commodities share their paths_of array with [t] — the
-       physical identity is what lets [Rate_kernel.grow] prove a block
-       can be copied instead of recompiled. *)
+    (* Ungrown commodities share their paths_of array with [t]: growth
+       copies only the commodities it touches. *)
     let paths_of_commodity =
       Array.mapi
         (fun ci ps ->

@@ -57,8 +57,8 @@ val extend : t -> paths:(int * Path.t) list -> t
     embed into the grown instance by zero-extension
     ({!Staleroute_util.Vec.extend}), and the CSR incidence grows by
     appending rows.  Ungrown commodities share their
-    [paths_of_commodity] arrays with [t] (the physical identity
-    [Rate_kernel.grow] uses to prove a block copyable).  The structural
+    [paths_of_commodity] arrays with [t] (boards and instances are
+    immutable, so growth copies only what it touches).  The structural
     constants [max_path_length] and [ell_max] are updated; [beta] only
     depends on the latencies and is unchanged.  Raises
     [Invalid_argument] on a commodity index out of range, a path that

@@ -113,7 +113,7 @@ let test_board_partial_mixes_ages () =
     got;
   (* Path latencies are recomputed from the mixed edge values. *)
   let expect =
-    Bulletin_board.post_with inst ~time:1. ~flow:f1 ~edge_latencies:got
+    Bulletin_board.post ~edge_latencies:got inst ~time:1. f1
   in
   Alcotest.(check (array (float 1e-12)))
     "path latencies consistent with mixed edges"

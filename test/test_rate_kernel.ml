@@ -247,7 +247,41 @@ let test_rate_accessor_matches_migration_rate () =
         expected
         (Staleroute_util.Vec.get live p *. Rate_kernel.rate kernel ~from_:p q)
     done
-  done
+  done;
+  (* The kernel's inline µ must be [Migration.prob] bit for bit, for
+     every rule, under every sampling (σ_q from the origin p). *)
+  let lat = board.Bulletin_board.path_latencies in
+  let bflow = board.Bulletin_board.flow in
+  let sigma = Array.make (Instance.max_paths_in_commodity inst) 0. in
+  List.iter
+    (fun sampling ->
+      List.iter
+        (fun migration ->
+          let k =
+            Rate_kernel.build inst (Policy.make ~sampling ~migration) ~board
+          in
+          for p = 0 to Instance.path_count inst - 1 do
+            let ci = Instance.commodity_of_path inst p in
+            Sampling.distribution_into sampling inst ~commodity:ci ~flow:bflow
+              ~latencies:lat ~from_:p ~dst:sigma;
+            Array.iter
+              (fun q ->
+                if q <> p then begin
+                  let expected =
+                    sigma.(Instance.local_index_of_path inst q)
+                    *. Migration.prob migration ~ell_p:lat.(p) ~ell_q:lat.(q)
+                  in
+                  let got = Rate_kernel.rate k ~from_:p q in
+                  if Int64.bits_of_float expected <> Int64.bits_of_float got
+                  then
+                    Alcotest.failf "%s/%s: R_%d,%d = %h, sigma*mu = %h"
+                      (Sampling.name sampling) (Migration.name migration) p q
+                      got expected
+                end)
+              (Instance.paths_of_commodity inst ci)
+          done)
+        (migrations inst))
+    samplings
 
 let test_cross_commodity_rate_is_zero () =
   let inst = Common.two_commodity () in
@@ -268,7 +302,22 @@ let test_kernel_validation () =
         ~dst:(Staleroute_util.Vec.create 3 0.));
   check_raises_invalid "aliasing" (fun () ->
       let f = Flow.uniform inst in
-      Rate_kernel.flow_derivative_into kernel f ~dst:f)
+      Rate_kernel.flow_derivative_into kernel f ~dst:f);
+  (* A board over another instance (3 Braess paths against 5 parallel
+     links) must be refused, not read out of bounds. *)
+  let wide = Common.parallel 5 in
+  let wide_kernel =
+    Rate_kernel.build wide (Policy.uniform_linear wide)
+      ~board:(Bulletin_board.post wide ~time:0. (Flow.uniform wide))
+  in
+  Alcotest.check_raises "build over a foreign board"
+    (Invalid_argument "Rate_kernel.build: board is over a different instance")
+    (fun () ->
+      ignore (Rate_kernel.build wide (Policy.uniform_linear wide) ~board));
+  Alcotest.check_raises "update with a foreign board"
+    (Invalid_argument
+       "Rate_kernel.update: board is over a different instance")
+    (fun () -> ignore (Rate_kernel.update wide_kernel ~board))
 
 let test_kernel_is_stale () =
   (* The kernel freezes the board: rebuilding after a re-post is what
@@ -365,95 +414,56 @@ let test_euler_path_allocation_free () =
       check_close "0 words per euler step" 0. ((large -. small) /. 1000.)
   | _ -> ()
 
-(* The column-generation twin of the update contract: compiling a
-   kernel for a grown active set via [Rate_kernel.grow] must be bitwise
-   identical to a fresh [build] over the grown instance.  Commodity 1
-   is seeded with its full path set so it never grows — its blocks take
-   the copy path — while commodity 0 starts from its shortest path and
-   grows whenever the random posting prices a cheaper column in. *)
-let prop_grow_matches_build =
-  qcheck ~count:25 "qcheck: grown kernel = fresh build (bitwise)"
-    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
-    (fun (seed, lseed) ->
-      let r = Rng.create ~seed () in
-      let st =
-        Gen.layered_skips ~skip_prob:0.2 ~rng:r ~layers:3 ~width:3
-          ~edge_prob:0.6
+(* The faulted repost path ([repost ~edge_latencies], what partial,
+   noise and outage boards go through) under the clean repost's
+   allocation bound: with a persistent delta scratch, a steady-state
+   call that dirties every edge allocates the new board and nothing for
+   the scan itself — at most 256 words here, the bound [@perf-smoke]
+   applies to the clean repost. *)
+let test_faulted_repost_allocation_bounded () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let inst = Common.parallel 40 in
+      let f = Flow.uniform inst in
+      let g = Vec.copy f in
+      Vec.set g 0 (Vec.get g 0 -. 0.004);
+      Vec.set g 1 (Vec.get g 1 +. 0.004);
+      let induced x = Flow.edge_latencies inst (Flow.edge_flows inst x) in
+      let noisy = Array.map (fun l -> l *. 1.01) (induced g) in
+      let clean = induced f in
+      let delta = Bulletin_board.delta () in
+      let prev = ref (Bulletin_board.post inst ~time:0. f) in
+      let flip = ref false in
+      let call () =
+        flip := not !flip;
+        prev :=
+          if !flip then
+            Bulletin_board.repost ~delta ~edge_latencies:noisy inst ~prev:!prev
+              ~time:0. g
+          else
+            Bulletin_board.repost ~delta ~edge_latencies:clean inst ~prev:!prev
+              ~time:0. f
       in
-      let graph = st.Gen.graph in
-      let m = Staleroute_graph.Digraph.edge_count graph in
-      let latencies =
-        Array.init m (fun _ ->
-            Latency.affine
-              ~slope:(0.25 +. Rng.float r 1.5)
-              ~intercept:(Rng.float r 0.3))
+      let measure reps =
+        call ();
+        let before = Gc.minor_words () in
+        for _ = 1 to reps do
+          call ()
+        done;
+        Gc.minor_words () -. before
       in
-      let commodities =
-        [
-          Commodity.make ~src:st.Gen.src ~dst:st.Gen.dst ~demand:0.5;
-          Commodity.make ~src:st.Gen.src ~dst:st.Gen.dst ~demand:0.5;
-        ]
-      in
-      let full =
-        Path_pool.instance
-          (Path_pool.create ~seed:Path_pool.Full ~graph ~latencies
-             ~commodities ())
-      in
-      let zero = Array.map (fun l -> Latency.eval l 0.) latencies in
-      let shortest =
-        match
-          Staleroute_graph.Dijkstra.shortest_path graph ~weights:zero
-            ~src:st.Gen.src ~dst:st.Gen.dst
-        with
-        | Some (p, _) -> p
-        | None -> assert false
-      in
-      let all_of c =
-        Instance.paths_of_commodity full c |> Array.to_list
-        |> List.map (Instance.path full)
-      in
-      let pool =
-        Path_pool.create
-          ~seed:(Path_pool.Paths [| [ shortest ]; all_of 1 |])
-          ~graph ~latencies ~commodities ()
-      in
-      let inst = Path_pool.instance pool in
-      let lr = Rng.create ~seed:lseed () in
-      let posted =
-        Array.map (fun l -> Latency.eval l (Rng.float lr 1.)) latencies
-      in
-      match Path_pool.grow pool inst ~edge_latencies:posted with
-      | None -> true (* seed already optimal under this posting *)
-      | Some (inst', _) ->
-          List.for_all
-            (fun sampling ->
-              List.for_all
-                (fun migration ->
-                  let policy = Policy.make ~sampling ~migration in
-                  let flow = Flow.random inst lr in
-                  let board = Bulletin_board.post inst ~time:0.25 flow in
-                  let board' =
-                    Bulletin_board.post_with inst'
-                      ~time:board.Bulletin_board.posted_at
-                      ~flow:
-                        (Vec.extend board.Bulletin_board.flow
-                           ~dim:(Instance.path_count inst'))
-                      ~edge_latencies:board.Bulletin_board.edge_latencies
-                  in
-                  let prev = Rate_kernel.build inst policy ~board in
-                  let grown = Rate_kernel.grow prev inst' ~board:board' in
-                  let built = Rate_kernel.build inst' policy ~board:board' in
-                  kernels_bitwise_equal inst' grown built
-                    (Flow.random inst' lr))
-                (migrations inst))
-            samplings)
+      let words = (measure 1001 -. measure 1) /. 1000. in
+      check_true
+        (Printf.sprintf "repost ~edge_latencies: %.1f minor words <= 256"
+           words)
+        (words <= 256.)
+  | _ -> ()
 
 let suite =
   [
     prop_kernel_matches_reference;
     prop_sharded_build_bit_identical;
     prop_update_matches_build;
-    prop_grow_matches_build;
     case "rate accessor = migration_rate" test_rate_accessor_matches_migration_rate;
     case "cross-commodity rate" test_cross_commodity_rate_is_zero;
     case "validation" test_kernel_validation;
@@ -461,4 +471,6 @@ let suite =
     case "in-place integrator bit-identical" test_integrate_into_matches_integrate;
     case "driver end-to-end vs reference" test_driver_matches_reference_integration;
     case "euler path allocation-free" test_euler_path_allocation_free;
+    case "faulted repost allocation bounded"
+      test_faulted_repost_allocation_bounded;
   ]

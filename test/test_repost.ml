@@ -153,7 +153,8 @@ let prop_repost_matches_post =
 
 (* The faulted twin: chains through [Faults.board] (Partial mixes stale
    and fresh latencies, Noise perturbs them — both land as unclean
-   boards through [repost_with]; a clean landing goes through [repost];
+   boards through [repost ~edge_latencies]; a clean landing goes
+   through plain [repost];
    a Drop leaves the old board and kernel in place).  Every landed
    board must be bitwise identical to the fresh constructor it
    shadows, and the changed sets must keep the update chain bitwise
@@ -193,8 +194,9 @@ let prop_faulted_repost_matches_fresh =
               if board.Bulletin_board.clean then
                 Bulletin_board.post inst ~time flow
               else
-                Bulletin_board.post_with inst ~time ~flow
-                  ~edge_latencies:board.Bulletin_board.edge_latencies
+                Bulletin_board.post
+                  ~edge_latencies:board.Bulletin_board.edge_latencies inst
+                  ~time flow
             in
             if not (board_fields_equal board fresh) then ok := false;
             if not (changed_set_exact !prev board delta) then ok := false;
@@ -214,11 +216,13 @@ let prop_faulted_repost_matches_fresh =
       !ok)
 
 (* The growth path: [repost_grown] over an [Instance.extend]ed index
-   must be bitwise identical to the [post_with] it replaced, share the
+   must be bitwise identical to [post ~edge_latencies] of the previous
+   board's latencies over the grown index, share the
    previous board's edge-latency array physically (boards are
    immutable), and keep the subsequent repost chain exact. *)
-let prop_repost_grown_matches_post_with =
-  qcheck ~count:25 "qcheck: repost_grown = post_with over grown index"
+let prop_repost_grown_matches_post =
+  qcheck ~count:25
+    "qcheck: repost_grown = post ~edge_latencies over grown index"
     QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
     (fun (seed, lseed) ->
       let r = Rng.create ~seed () in
@@ -251,12 +255,12 @@ let prop_repost_grown_matches_post_with =
           let n' = Instance.path_count inst' in
           let grown = Bulletin_board.repost_grown inst' ~prev:board in
           let reference =
-            Bulletin_board.post_with inst'
+            Bulletin_board.post
+              ~edge_latencies:board.Bulletin_board.edge_latencies inst'
               ~time:board.Bulletin_board.posted_at
-              ~flow:(Vec.extend board.Bulletin_board.flow ~dim:n')
-              ~edge_latencies:board.Bulletin_board.edge_latencies
+              (Vec.extend board.Bulletin_board.flow ~dim:n')
           in
-          (* post_with marks unclean; a grown clean board stays clean
+          (* Supplied latencies mark the board unclean; a grown clean board stays clean
              (nothing about the latencies changed), so compare the
              arrays, not the flag, against the reference — and pin the
              flag against the previous board separately. *)
@@ -347,8 +351,8 @@ let test_unclean_prev_recomputes_in_full () =
       (fun l -> l *. 1.1)
       (Flow.edge_latencies inst (Flow.edge_flows inst f))
   in
-  let prev = Bulletin_board.post_with inst ~time:0. ~flow:f ~edge_latencies:noisy in
-  check_false "post_with is unclean" prev.Bulletin_board.clean;
+  let prev = Bulletin_board.post ~edge_latencies:noisy inst ~time:0. f in
+  check_false "supplied latencies are unclean" prev.Bulletin_board.clean;
   let delta = Bulletin_board.delta () in
   let g = transfer inst r f in
   let board = Bulletin_board.repost ~delta inst ~prev ~time:1. g in
@@ -409,16 +413,20 @@ let test_repost_validation () =
         (Bulletin_board.repost other
            ~prev:(Bulletin_board.post inst ~time:0. f)
            ~time:1. (Flow.uniform other)));
-  check_raises_invalid "repost_with arity mismatch" (fun () ->
+  check_raises_invalid "supplied latencies arity mismatch (repost)"
+    (fun () ->
       ignore
-        (Bulletin_board.repost_with inst ~prev ~time:1. ~flow:f
-           ~edge_latencies:[| 1.; 2. |]))
+        (Bulletin_board.repost ~edge_latencies:[| 1.; 2. |] inst ~prev
+           ~time:1. f));
+  check_raises_invalid "supplied latencies arity mismatch (post)" (fun () ->
+      ignore
+        (Bulletin_board.post ~edge_latencies:[| 1.; 2. |] inst ~time:1. f))
 
 let suite =
   [
     prop_repost_matches_post;
     prop_faulted_repost_matches_fresh;
-    prop_repost_grown_matches_post_with;
+    prop_repost_grown_matches_post;
     case "transposed incidence is exact" test_transpose_consistency;
     case "restore re-derives cleanliness" test_restore_cleanliness;
     case "unclean prev falls back to full recompute"
