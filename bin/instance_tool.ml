@@ -64,7 +64,7 @@ let show inst =
 let solve inst =
   let eq = Frank_wolfe.equilibrium inst in
   let pg = Descent.equilibrium inst in
-  Printf.printf "PHI* (frank-wolfe)      : %.8g (gap %.2g, %d iters)\n"
+  Printf.printf "PHI* (path equil.)      : %.8g (gap %.2g, %d sweeps)\n"
     eq.Frank_wolfe.objective eq.Frank_wolfe.gap eq.Frank_wolfe.iterations;
   Printf.printf "PHI* (proj. gradient)   : %.8g (%d iters)\n"
     pg.Descent.objective pg.Descent.iterations;

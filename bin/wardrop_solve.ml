@@ -1,5 +1,7 @@
 (* wardrop_solve: compute the Wardrop equilibrium, the system optimum
-   and the price of anarchy of a built-in topology via Frank-Wolfe. *)
+   and the price of anarchy of a built-in topology with the reference
+   solver (pairwise path equilibration, Frank_wolfe by its historical
+   name). *)
 
 open Cmdliner
 open Staleroute_wardrop
@@ -30,7 +32,7 @@ let main topology tol max_iter show_optimum =
       let eq = Frank_wolfe.equilibrium ~tol ~max_iter inst in
       Table.print (flow_table inst "Wardrop equilibrium" eq.Frank_wolfe.flow);
       Printf.printf "potential PHI*   : %.8g\n" eq.Frank_wolfe.objective;
-      Printf.printf "duality gap      : %.3g after %d iterations\n"
+      Printf.printf "duality gap      : %.3g after %d sweeps\n"
         eq.Frank_wolfe.gap eq.Frank_wolfe.iterations;
       Printf.printf "wardrop gap      : %.3g\n"
         (Equilibrium.wardrop_gap inst eq.Frank_wolfe.flow);
@@ -53,11 +55,11 @@ let cmd =
   in
   let tol =
     Arg.(value & opt float 1e-8 & info [ "tol" ] ~docv:"TOL"
-         ~doc:"Frank-Wolfe duality-gap tolerance.")
+         ~doc:"Duality-gap tolerance of the reference solver.")
   in
   let max_iter =
     Arg.(value & opt int 10_000 & info [ "max-iter" ] ~docv:"N"
-         ~doc:"Frank-Wolfe iteration cap.")
+         ~doc:"Sweep cap of the reference solver.")
   in
   let show_optimum =
     Arg.(value & flag & info [ "optimum"; "poa" ]

@@ -161,10 +161,30 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
   let h_vgain = Metrics.histogram metrics "phase_virtual_gain" in
   let h_gc = Metrics.histogram metrics "phase_minor_words" in
   let g_final = Metrics.gauge metrics "final_potential" in
-  let start_phase, records =
+  (* Phase records stay flat until the end of the run: one float array
+     per field and one array of start flows, so a long run keeps no
+     per-phase record, cons or boxed-float blocks alive.  A resumed
+     run keeps the snapshot's records as they are. *)
+  let start_phase, prefix =
     match from with
-    | None -> (0, ref [])
-    | Some s -> (s.next_phase, ref (List.rev s.records_so_far))
+    | None -> (0, [||])
+    | Some s -> (s.next_phase, Array.of_list s.records_so_far)
+  in
+  let count = config.phases - start_phase in
+  let start_times = Array.make count 0. in
+  let start_flows = Array.make count f0 in
+  let start_potentials = Array.make count 0. in
+  let virtual_gains = Array.make count 0. in
+  let delta_phis = Array.make count 0. in
+  let record widen j =
+    {
+      index = start_phase + j;
+      start_time = start_times.(j);
+      start_flow = widen start_flows.(j);
+      start_potential = start_potentials.(j);
+      virtual_gain = virtual_gains.(j);
+      delta_phi = delta_phis.(j);
+    }
   in
   let f = ref f0 in
   let phi = ref (Potential.phi (Boundary.instance b) !f) in
@@ -209,16 +229,12 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
       Metrics.observe h_vgain virtual_gain;
       Metrics.observe h_gc (Gc.minor_words () -. gc0)
     end;
-    records :=
-      {
-        index = k;
-        start_time;
-        start_flow;
-        start_potential;
-        virtual_gain;
-        delta_phi;
-      }
-      :: !records;
+    let j = k - start_phase in
+    start_times.(j) <- start_time;
+    start_flows.(j) <- start_flow;
+    start_potentials.(j) <- start_potential;
+    virtual_gains.(j) <- virtual_gain;
+    delta_phis.(j) <- delta_phi;
     f := next;
     phi := next_phi;
     (match on_checkpoint with
@@ -230,7 +246,8 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
             next_phase = k + 1;
             flow = Vec.copy !f;
             board = Boundary.board_state b;
-            records_so_far = List.rev !records;
+            records_so_far =
+              Array.to_list prefix @ List.init (j + 1) (record Fun.id);
             grown_paths = Boundary.grown_paths b;
           };
         Span.exit spans sp
@@ -241,13 +258,13 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
   (* Normalize every record to the final dimension (zero-extension is
      exact — see above), so consumers can analyze the whole run against
      [final_instance] and a resumed run reproduces the same records.
-     Only widened records are replaced: long runs copy nothing. *)
-  let records = Array.of_list (List.rev !records) in
-  Array.iteri
-    (fun i r ->
-      let v = Boundary.widen b r.start_flow in
-      if v != r.start_flow then records.(i) <- { r with start_flow = v })
-    records;
+     Only widened flows are copied: long runs copy nothing. *)
+  let widen = Boundary.widen b in
+  let records =
+    Array.append
+      (Array.map (fun r -> { r with start_flow = widen r.start_flow }) prefix)
+      (Array.init count (record widen))
+  in
   {
     config;
     records;

@@ -1,5 +1,4 @@
 module Vec = Staleroute_util.Vec
-module Numerics = Staleroute_util.Numerics
 module Latency = Staleroute_latency.Latency
 
 type result = {
@@ -9,171 +8,176 @@ type result = {
   iterations : int;
 }
 
-(* Edge-space solver over scratch arrays allocated once per solve.  Every
-   float expression, and every summation order, is the one the
-   path-space formulation evaluates (gather edge loads as
-   [Flow.edge_flows] does, then sum [term] over edges in index order),
-   so iterates are bitwise those of the textbook loop; only repeated
-   work is skipped.  A line evaluation re-gathers just the edges whose
-   load can differ from the current iterate's and reuses the cached
-   term everywhere else. *)
+(* Gauss–Seidel pairwise path equilibration over scratch arrays allocated
+   once per solve.  A sweep visits the commodities in index order; each
+   prices its paths at the current edge loads, takes the cheapest path
+   [q] and moves mass from every used path [p] onto [q] until the two
+   marginals balance (or [p] empties).  Loads are updated in place as
+   mass moves, so later pairs see earlier moves.  Every sweep ends with
+   a fresh gather in [Flow.edge_flows]'s order, which yields the
+   objective (bitwise [Potential.phi]/[Social.cost]) and the stop
+   certificate. *)
 let minimize ?(max_iter = 10_000) ?(tol = 1e-8) ~term ~slope inst =
   let n = Instance.path_count inst in
   let m = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
   let lat = Array.init m (Instance.latency inst) in
   let offsets = Instance.csr_offsets inst and edges = Instance.csr_edges inst in
-  let row_offsets = Instance.edge_csr_offsets inst
-  and row_paths = Instance.edge_csr_paths inst in
+  let commodities =
+    Array.init (Instance.commodity_count inst)
+      (Instance.paths_of_commodity inst)
+  in
   let f = Flow.uniform inst in
-  (* The current iterate's edge loads, and [term] at them. *)
-  let load = Array.make m 0. and cost = Array.make m 0. in
-  let zero_cost = Array.init m (fun e -> term lat.(e) 0.) in
-  let marg = Array.make m 0. and grad = Array.make n 0. in
-  (* br: all-or-nothing vertex; d: pairwise direction (mass of each
-     commodity's worst used path moved onto its best path). *)
-  let br = Vec.create n 0. and d = Vec.create n 0. in
-  (* Edges on a path with [d <> 0]: the only loads a pairwise step moves. *)
-  let moved = Array.make m false and moved_edges = Array.make m 0 in
-  let n_moved = ref 0 in
-  (* [cost] with the moved edges' terms taken at the trial step. *)
-  let pair_cost = Array.make m 0. in
-  let trial = Array.make m 0. and trial_cost = Array.make m 0. in
-  let sum_costs costs =
+  let load = Array.make m 0. and price = Array.make n 0. in
+  (* [on_q] and [on_p] mark the target and source paths' edges with the
+     current stamp; [minus] lists P\Q and [plus] lists Q\P. *)
+  let on_q = Array.make m (-1) and on_p = Array.make m (-1) in
+  let minus = Array.make m 0 and plus = Array.make m 0 in
+  let n_minus = ref 0 and n_plus = ref 0 and stamp = ref 0 in
+  let price_path p =
     let acc = ref 0. in
-    for e = 0 to m - 1 do
-      acc := !acc +. costs.(e)
+    for k = offsets.(p) to offsets.(p + 1) - 1 do
+      let e = edges.(k) in
+      acc := !acc +. slope lat.(e) load.(e)
     done;
     !acc
   in
-  let mark_moved p =
+  (* g(δ): the marginal of P minus that of Q, restricted to P△Q, after
+     moving δ from P to Q.  Non-increasing in δ for convex objectives. *)
+  let excess delta =
+    let acc = ref 0. in
+    for i = 0 to !n_minus - 1 do
+      let e = minus.(i) in
+      acc := !acc +. slope lat.(e) (load.(e) -. delta)
+    done;
+    for i = 0 to !n_plus - 1 do
+      let e = plus.(i) in
+      acc := !acc -. slope lat.(e) (load.(e) +. delta)
+    done;
+    !acc
+  in
+  (* Illinois (modified regula falsi) on a bracket [a, b] with
+     g(a) > 0 > g(b); a trial point outside the open bracket falls back
+     to bisection.  Linear g is solved by the first trial point. *)
+  let rec root a ga b gb side floor evals =
+    let c = ((a *. gb) -. (b *. ga)) /. (gb -. ga) in
+    let c = if c > a && c < b then c else 0.5 *. (a +. b) in
+    let gc = excess c in
+    let mid = 0.5 *. (a +. b) in
+    if Float.abs gc <= floor || evals >= 64 || mid <= a || mid >= b then c
+    else if gc > 0. then
+      root c gc b (if side > 0 then 0.5 *. gb else gb) 1 floor (evals + 1)
+    else root a (if side < 0 then 0.5 *. ga else ga) c gc (-1) floor (evals + 1)
+  in
+  let shift p q delta =
+    for i = 0 to !n_minus - 1 do
+      let e = minus.(i) in
+      load.(e) <- load.(e) -. delta
+    done;
+    for i = 0 to !n_plus - 1 do
+      let e = plus.(i) in
+      load.(e) <- load.(e) +. delta
+    done;
+    Vec.set f p (Vec.get f p -. delta);
+    Vec.set f q (Vec.get f q +. delta)
+  in
+  let equilibrate ~q ~q_stamp p =
+    incr stamp;
+    let s = !stamp in
+    n_minus := 0;
     for k = offsets.(p) to offsets.(p + 1) - 1 do
       let e = edges.(k) in
-      if not moved.(e) then begin
-        moved.(e) <- true;
-        moved_edges.(!n_moved) <- e;
-        incr n_moved
+      on_p.(e) <- s;
+      if on_q.(e) <> q_stamp then begin
+        minus.(!n_minus) <- e;
+        incr n_minus
       end
-    done
-  in
-  (* [f + gamma d]: unmoved edges keep their cached term; a moved edge
-     re-gathers its row, which lists paths in ascending order — the
-     order [Flow.edge_flows] adds them in. *)
-  let line_pair gamma =
-    for i = 0 to !n_moved - 1 do
-      let e = moved_edges.(i) in
-      let acc = ref 0. in
-      for j = row_offsets.(e) to row_offsets.(e + 1) - 1 do
-        let p = row_paths.(j) in
-        let gp = Vec.unsafe_get f p +. (gamma *. Vec.unsafe_get d p) in
-        if gp <> 0. then acc := !acc +. gp
-      done;
-      pair_cost.(e) <- term lat.(e) !acc
     done;
-    sum_costs pair_cost
-  in
-  (* [(1 - s) f + s br]: a full gather; an edge left at load 0 lies
-     outside supp f ∪ supp br and reads its cached [term e 0]. *)
-  let line_classic s =
-    Array.fill trial 0 m 0.;
-    for p = 0 to n - 1 do
-      let gp = ((1. -. s) *. Vec.unsafe_get f p) +. (s *. Vec.unsafe_get br p) in
-      if gp <> 0. then
-        for k = offsets.(p) to offsets.(p + 1) - 1 do
-          let e = edges.(k) in
-          trial.(e) <- trial.(e) +. gp
-        done
+    n_plus := 0;
+    for k = offsets.(q) to offsets.(q + 1) - 1 do
+      let e = edges.(k) in
+      if on_p.(e) <> s then begin
+        plus.(!n_plus) <- e;
+        incr n_plus
+      end
     done;
-    for e = 0 to m - 1 do
-      let x = trial.(e) in
-      trial_cost.(e) <- (if x = 0. then zero_cost.(e) else term lat.(e) x)
-    done;
-    sum_costs trial_cost
+    let g0 = excess 0. in
+    if g0 > 0. then begin
+      let fp = Vec.get f p in
+      let gp = excess fp in
+      let delta =
+        if gp >= 0. then fp
+        else
+          (* Stop at the float noise of the two path marginals, or once
+             the imbalance has shrunk by 1e12. *)
+          let noise = 1e-15 *. (price.(p) +. price.(q)) in
+          root 0. g0 fp gp 0 (Float.max (1e-12 *. g0) noise) 1
+      in
+      shift p q delta
+    end
   in
-  let rec loop iter =
-    (* One gather per iteration feeds the objective, the gradient and
-       the duality gap. *)
+  let sweep () =
+    Array.iter
+      (fun ps ->
+        let q = ref ps.(0) in
+        Array.iter
+          (fun p ->
+            price.(p) <- price_path p;
+            if price.(p) < price.(!q) then q := p)
+          ps;
+        let q = !q in
+        incr stamp;
+        let q_stamp = !stamp in
+        for k = offsets.(q) to offsets.(q + 1) - 1 do
+          on_q.(edges.(k)) <- q_stamp
+        done;
+        Array.iter
+          (fun p ->
+            if p <> q && Vec.get f p > 0. then equilibrate ~q ~q_stamp p)
+          ps)
+      commodities
+  in
+  (* The canonical gather: edge loads summed in path order (as
+     [Flow.edge_flows]), [term] summed in edge order (as
+     [Potential.phi]/[Social.cost]), and the certificate
+     gap = Σ_P f_P (c_P − c_min,i), a sum of non-negative terms.  Given
+     feasibility it equals the duality gap ⟨∇, f − br⟩ at the
+     all-or-nothing vertex [br], so it bounds the suboptimality. *)
+  let gather () =
     Array.fill load 0 m 0.;
     for p = 0 to n - 1 do
-      let fp = Vec.unsafe_get f p in
+      let fp = Vec.get f p in
       if fp <> 0. then
         for k = offsets.(p) to offsets.(p + 1) - 1 do
           let e = edges.(k) in
           load.(e) <- load.(e) +. fp
         done
     done;
+    let objective = ref 0. in
     for e = 0 to m - 1 do
-      cost.(e) <- term lat.(e) load.(e);
-      marg.(e) <- slope lat.(e) load.(e)
+      objective := !objective +. term lat.(e) load.(e)
     done;
-    let here = sum_costs cost in
-    for p = 0 to n - 1 do
-      let acc = ref 0. in
-      for k = offsets.(p) to offsets.(p + 1) - 1 do
-        acc := !acc +. marg.(edges.(k))
-      done;
-      grad.(p) <- !acc
-    done;
-    Vec.fill br 0.;
-    Vec.fill d 0.;
-    for i = 0 to !n_moved - 1 do
-      moved.(moved_edges.(i)) <- false
-    done;
-    n_moved := 0;
-    for ci = 0 to Instance.commodity_count inst - 1 do
-      let ps = Instance.paths_of_commodity inst ci in
-      let best = ref ps.(0) and worst = ref (-1) in
-      Array.iter
-        (fun p ->
-          if grad.(p) < grad.(!best) then best := p;
-          if Vec.get f p > 0. && (!worst < 0 || grad.(p) > grad.(!worst)) then
-            worst := p)
-        ps;
-      Vec.set br !best (Instance.demand inst ci);
-      if !worst >= 0 && !worst <> !best then begin
-        let moving = Vec.get f !worst in
-        Vec.set d !best moving;
-        Vec.set d !worst (-.moving);
-        mark_moved !best;
-        mark_moved !worst
-      end
-    done;
-    (* Duality gap <∇, f - br> bounds the suboptimality from above. *)
     let gap = ref 0. in
-    for p = 0 to n - 1 do
-      gap := !gap +. (grad.(p) *. (Vec.unsafe_get f p -. Vec.unsafe_get br p))
-    done;
-    let gap = !gap in
-    if gap <= tol || iter >= max_iter then
-      { flow = f; objective = here; gap; iterations = iter }
+    Array.iter
+      (fun ps ->
+        let low = ref infinity in
+        Array.iter
+          (fun p ->
+            price.(p) <- price_path p;
+            low := Float.min !low price.(p))
+          ps;
+        Array.iter
+          (fun p -> gap := !gap +. (Vec.get f p *. (price.(p) -. !low)))
+          ps)
+      commodities;
+    (!objective, !gap)
+  in
+  let rec loop sweeps =
+    let objective, gap = gather () in
+    if gap <= tol || sweeps >= max_iter then
+      { flow = f; objective; gap; iterations = sweeps }
     else begin
-      (* Candidate 1: pairwise step along d (additive).  Candidate 2:
-         classic step towards the all-or-nothing vertex (convex mix).
-         The pairwise step converges linearly but can stall when the
-         worst path carries little mass; the classic step never stalls
-         but zigzags.  Take whichever wins the line search. *)
-      Array.blit cost 0 pair_cost 0 m;
-      let gamma_pair = Numerics.golden_section_min ~tol:1e-12 line_pair 0. 1. in
-      let gamma_classic =
-        Numerics.golden_section_min ~tol:1e-12 line_classic 0. 1.
-      in
-      let value_pair = line_pair gamma_pair in
-      let value_classic = line_classic gamma_classic in
-      if Float.min value_pair value_classic < here then begin
-        if value_pair <= value_classic then
-          for p = 0 to n - 1 do
-            (* Clip the tiny negatives produced by gamma ~ 1 rounding. *)
-            Vec.unsafe_set f p
-              (Float.max 0.
-                 (Vec.unsafe_get f p +. (gamma_pair *. Vec.unsafe_get d p)))
-          done
-        else
-          for p = 0 to n - 1 do
-            Vec.unsafe_set f p
-              (((1. -. gamma_classic) *. Vec.unsafe_get f p)
-              +. (gamma_classic *. Vec.unsafe_get br p))
-          done
-      end;
-      loop (iter + 1)
+      sweep ();
+      loop (sweeps + 1)
     end
   in
   loop 0
