@@ -267,7 +267,7 @@ let run_experiment ~quick ~pool name =
    the snapshot would silently depend on scheduling.  An instrumented
    experiment therefore runs entirely on the domain holding the
    registry — sequential, but correct and byte-identical to -j 1
-   (parallel-smoke check 4 pins this down). *)
+   (parallel-smoke check 3 pins this down). *)
 let run_single_experiment ~quick ~jobs name =
   if jobs > 1 && not (!with_metrics || !with_profile) then
     Pool.with_pool ~domains:jobs (fun pool ->
@@ -308,9 +308,9 @@ let run_experiments ~quick ~jobs names =
 (* --- Bechamel microbenchmarks of the hot paths --- *)
 
 (* A multi-commodity load-balancing workload for the rate benchmarks:
-   [commodities] commodities splitting the unit demand over [m] parallel
-   links each, i.e. [commodities * m] paths in the global index. *)
-let multicommodity_parallel ?(commodities = 2) m =
+   two commodities splitting the unit demand over the same [m] parallel
+   links, i.e. [2 * m] paths in the global index. *)
+let multicommodity_parallel m =
   let open Staleroute_wardrop in
   let st = Staleroute_graph.Gen.parallel_links m in
   let latencies =
@@ -321,10 +321,9 @@ let multicommodity_parallel ?(commodities = 2) m =
   in
   Instance.create ~graph:st.Staleroute_graph.Gen.graph ~latencies
     ~commodities:
-      (List.init commodities (fun _ ->
+      (List.init 2 (fun _ ->
            Commodity.make ~src:st.Staleroute_graph.Gen.src
-             ~dst:st.Staleroute_graph.Gen.dst
-             ~demand:(1. /. float_of_int commodities)))
+             ~dst:st.Staleroute_graph.Gen.dst ~demand:0.5))
     ()
 
 (* The end-to-end benchmark's fresh_grid instance at seed 1: a 4x4 grid
@@ -1464,13 +1463,12 @@ let wall_time f =
   (y, Unix.gettimeofday () -. t0)
 
 (* Determinism checks for the domain-pool plumbing, each comparing a
-   pooled run byte-for-byte against its sequential twin, plus the two
-   headline timings (pooled vs sequential E16-quick; sharded vs whole
-   kernel build).  With [full], additionally times the full E1-E17
-   suite at -j 1 vs -j [jobs].  Writes BENCH_parallel.json; exits
-   non-zero on any determinism failure. *)
+   pooled run byte-for-byte against its sequential twin, plus the
+   headline timing (pooled vs sequential E16-quick).  With [full],
+   additionally times the full E1-E17 suite at -j 1 vs -j [jobs].
+   Writes BENCH_parallel.json; exits non-zero on any determinism
+   failure. *)
 let parallel_smoke ~jobs ~full ~json_path () =
-  let open Staleroute_wardrop in
   let open Staleroute_dynamics in
   let failures = ref 0 in
   let check name ok =
@@ -1478,38 +1476,7 @@ let parallel_smoke ~jobs ~full ~json_path () =
     if not ok then incr failures
   in
   let width = max 2 jobs in
-  (* 1. Sharded kernel build is bit-identical to the whole build.  The
-     bench instance sits below the auto-threshold (where sharding is a
-     net loss), so the identity check forces the sharded path. *)
-  let kinst = multicommodity_parallel ~commodities:8 24 in
-  let kpolicy = Policy.replicator kinst in
-  let kboard = Bulletin_board.post kinst ~time:0. (Flow.uniform kinst) in
-  let whole = Rate_kernel.build kinst kpolicy ~board:kboard in
-  let sharded =
-    Pool.with_pool ~domains:width (fun pool ->
-        Rate_kernel.build ?pool ~shard_min_entries:0 kinst kpolicy
-          ~board:kboard)
-  in
-  let n = Instance.path_count kinst in
-  let rates_equal = ref true in
-  for p = 0 to n - 1 do
-    for q = 0 to n - 1 do
-      if
-        not
-          (Float.equal
-             (Rate_kernel.rate whole ~from_:p q)
-             (Rate_kernel.rate sharded ~from_:p q))
-      then rates_equal := false
-    done
-  done;
-  let f = Flow.random kinst (Staleroute_util.Rng.create ~seed:7 ()) in
-  let d_whole = Rate_kernel.flow_derivative whole f in
-  let d_sharded = Rate_kernel.flow_derivative sharded f in
-  check
-    (Printf.sprintf "sharded build = whole build (%d commodities)"
-       (Instance.commodity_count kinst))
-    (!rates_equal && d_whole = d_sharded);
-  (* 2. E16-quick: pooled output is byte-identical to sequential, and
+  (* 1. E16-quick: pooled output is byte-identical to sequential, and
      the wall-time comparison is the committed headline number. *)
   let render_e16 pool =
     let out = Buffer.create 4096 in
@@ -1525,7 +1492,7 @@ let parallel_smoke ~jobs ~full ~json_path () =
   check
     (Printf.sprintf "e16-quick output byte-identical at -j %d" width)
     (String.equal e16_seq e16_pooled);
-  (* 3. The multi-experiment fan-out (with metrics, exercising the
+  (* 2. The multi-experiment fan-out (with metrics, exercising the
      domain-local ambient registries) is byte-identical to -j 1. *)
   let metric_pair pool_width =
     with_metrics := true;
@@ -1548,7 +1515,7 @@ let parallel_smoke ~jobs ~full ~json_path () =
   check
     (Printf.sprintf "e1+e16 metrics snapshots byte-identical at -j %d" width)
     (metric_pair 1 = metric_pair width);
-  (* 4. A single experiment in metrics mode through the top-level
+  (* 3. A single experiment in metrics mode through the top-level
      dispatch (`bench e16 metrics -j N`): the ambient registry is
      domain-local, so this path must not fan sweep cells out to worker
      domains — run_single_experiment forces ~pool:None under metrics,
@@ -1563,7 +1530,7 @@ let parallel_smoke ~jobs ~full ~json_path () =
     (Printf.sprintf
        "single e16 metrics snapshot byte-identical at -j %d" width)
     (String.equal (single_metric 1) (single_metric width));
-  (* 5. Traced driver runs fanned across the pool produce the same
+  (* 4. Traced driver runs fanned across the pool produce the same
      JSONL bytes as the sequential loop. *)
   let trace_configs =
     [| (4., 6); (2., 9); (8., 5); (3., 7) |]
@@ -1594,62 +1561,14 @@ let parallel_smoke ~jobs ~full ~json_path () =
   check
     (Printf.sprintf "trace JSONL byte-identical at -j 1 vs -j %d" width)
     (seq_traces = pooled_traces);
-  (* 6. Kernel build timings: whole (no pool), auto-thresholded pooled
-     (this instance is below the threshold, so the pool must be
-     ignored), and forced sharding (the old always-shard behaviour,
-     recorded so the handoff cost stays visible).  The guard is the
-     auto path: handing build a pool must never cost more than building
-     whole, beyond timer noise. *)
-  let build_reps = 400 in
-  let (), whole_build_s =
-    wall_time (fun () ->
-        for _ = 1 to build_reps do
-          ignore (Rate_kernel.build kinst kpolicy ~board:kboard)
-        done)
-  in
-  (* The guard compares like-for-like {e inside} the pool scope: merely
-     having idle worker domains alive taxes every minor GC with a
-     stop-the-world rendezvous (several-fold on a single core), so a
-     no-domains baseline would blame sharding for the domain tax.
-     [whole_in_pool] isolates the decision the threshold actually
-     makes: given a pool, ignore it below the cutoff. *)
-  let whole_in_pool_s, auto_build_s, forced_build_s =
-    Pool.with_pool ~domains:width (fun pool ->
-        let time f =
-          snd
-            (wall_time (fun () ->
-                 for _ = 1 to build_reps do
-                   ignore (f ())
-                 done))
-        in
-        let whole_s =
-          time (fun () -> Rate_kernel.build kinst kpolicy ~board:kboard)
-        in
-        let auto_s =
-          time (fun () -> Rate_kernel.build ?pool kinst kpolicy ~board:kboard)
-        in
-        let forced_s =
-          time (fun () ->
-              Rate_kernel.build ?pool ~shard_min_entries:0 kinst kpolicy
-                ~board:kboard)
-        in
-        (whole_s, auto_s, forced_s))
-  in
-  let per_build s = s /. float_of_int build_reps *. 1e9 in
-  check
-    (Printf.sprintf
-       "auto-thresholded pooled build not slower than whole (%.0f vs %.0f \
-        ns)"
-       (per_build auto_build_s) (per_build whole_in_pool_s))
-    (auto_build_s <= 1.5 *. whole_in_pool_s);
-  (* 6b. The sweep fan-out gate: per-task work below the threshold
+  (* 5. The sweep fan-out gate: per-task work below the threshold
      strips the pool, at-or-above keeps it, and None passes through. *)
   check "fan-out gate strips small work, keeps large"
     (Pool.with_pool ~domains:width (fun pool ->
          Pool.gate ~work:(Pool.min_fanout_work - 1) pool = None
          && Pool.gate ~work:Pool.min_fanout_work pool == pool
          && Pool.gate ~work:0 None = None));
-  (* 7. Optionally: the full E1-E17 suite, -j 1 vs -j [jobs]. *)
+  (* 6. Optionally: the full E1-E17 suite, -j 1 vs -j [jobs]. *)
   let suite_timing =
     if not full then None
     else begin
@@ -1680,21 +1599,11 @@ let parallel_smoke ~jobs ~full ~json_path () =
     \  \"cores_available\": %d,\n\
     \  \"pool_width\": %d,\n\
     \  \"e16_quick_wall_s\": { \"sequential\": %.4f, \"pooled\": %.4f, \
-     \"speedup\": %.2f },\n\
-    \  \"kernel_build_ns\": { \"whole\": %.0f, \"whole_in_pool\": %.0f, \
-     \"auto_pool\": %.0f, \"forced_shard\": %.0f, \"commodities\": %d, \
-     \"paths\": %d, \"entries\": %d },\n"
+     \"speedup\": %.2f },\n"
     (meta_block ())
     (Domain.recommended_domain_count ())
     width e16_seq_s e16_pooled_s
-    (e16_seq_s /. e16_pooled_s)
-    (per_build whole_build_s)
-    (per_build whole_in_pool_s)
-    (per_build auto_build_s)
-    (per_build forced_build_s)
-    (Instance.commodity_count kinst)
-    n
-    (Rate_kernel.entry_count kinst);
+    (e16_seq_s /. e16_pooled_s);
   (match suite_timing with
   | Some (seq_s, par_s) ->
       Printf.fprintf oc
@@ -1728,9 +1637,8 @@ let words_per_call f =
 
 (* The allocation contracts the Bigarray switch must preserve: the
    disabled-probe Euler step and every in-place [Vec] operation stay at
-   0 minor words, and an incremental kernel update allocates at most a
-   small constant (its per-call bookkeeping), never per matrix entry.
-   Only meaningful under the native compiler — bytecode boxes
+   0 minor words, a kernel update allocates at most a small constant
+   and, between boards that reorder the paths, nothing at all.  Only meaningful under the native compiler — bytecode boxes
    everything, so the checks auto-pass there.  Writes BENCH_perf.json;
    exits non-zero on any violation. *)
 let perf_smoke ~json_path () =
@@ -1786,6 +1694,41 @@ let perf_smoke ~json_path () =
   in
   check "kernel update minor words <= 64 (no per-entry alloc)"
     (update_words <= 64.);
+  (* The factored kernel re-sorts each commodity's paths by posted
+     latency on every update.  Between two boards whose latency orders
+     differ the insertion sort really moves entries, and it works in
+     place: 0 words, like the evaluation. *)
+  let rboard =
+    Bulletin_board.post inst ~time:2e-3
+      (Flow.random inst (Staleroute_util.Rng.create ~seed:3 ()))
+  in
+  let reorder_inversions =
+    let la = board.Bulletin_board.path_latencies
+    and lb = rboard.Bulletin_board.path_latencies in
+    let count = ref 0 in
+    for ci = 0 to Instance.commodity_count inst - 1 do
+      let ps = Instance.paths_of_commodity inst ci in
+      Array.iter
+        (fun p ->
+          Array.iter
+            (fun q -> if la.(p) < la.(q) && lb.(p) > lb.(q) then incr count)
+            ps)
+        ps
+    done;
+    !count
+  in
+  let rk = Rate_kernel.build inst policy ~board in
+  let oflip = ref false in
+  let reorder_words =
+    words_per_call (fun () ->
+        oflip := not !oflip;
+        ignore
+          (Rate_kernel.update rk ~board:(if !oflip then rboard else board)))
+  in
+  check
+    (Printf.sprintf "kernel update, %d inversions: minor words = 0"
+       reorder_inversions)
+    (reorder_inversions > 0 && reorder_words = 0.);
   (* Steady-state repost cost: with a persistent delta scratch, a
      repost allocates only the new board's own arrays (flow copy, edge
      and path latencies, the record) — bounded by the instance, never
@@ -1835,6 +1778,8 @@ let perf_smoke ~json_path () =
     \  \"euler_minor_words_per_step\": %.2f,\n\
     \  \"vec_minor_words_per_call\": { %s },\n\
     \  \"kernel_update_minor_words_per_call\": %.2f,\n\
+    \  \"kernel_update_reorder_minor_words_per_call\": %.2f,\n\
+    \  \"kernel_update_reorder_inversions\": %d,\n\
     \  \"repost_minor_words_per_call\": %.2f,\n\
     \  \"repost_dirty_edges_two_path_transfer\": %d,\n\
     \  \"pass\": %b\n\
@@ -1846,7 +1791,7 @@ let perf_smoke ~json_path () =
        (List.map
           (fun (name, w) -> Printf.sprintf "\"%s\": %.2f" name w)
           vec_words))
-    update_words repost_words big_dirty pass;
+    update_words reorder_words reorder_inversions repost_words big_dirty pass;
   close_out oc;
   Printf.printf "(perf smoke written to %s)\n%!" json_path;
   if not pass then exit 1

@@ -73,7 +73,7 @@ let solve inst =
   let opt = Social.optimum inst in
   Printf.printf "social cost (optimum)   : %.8g\n" opt.Frank_wolfe.objective;
   Printf.printf "price of anarchy        : %.6g\n"
-    (Social.price_of_anarchy inst)
+    (Social.price_of_anarchy_of inst ~equilibrium:eq ~optimum:opt)
 
 let dot inst =
   print_string

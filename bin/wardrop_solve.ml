@@ -43,7 +43,7 @@ let main topology tol max_iter show_optimum =
         Table.print (flow_table inst "System optimum" opt.Frank_wolfe.flow);
         Printf.printf "optimal cost     : %.8g\n" opt.Frank_wolfe.objective;
         Printf.printf "price of anarchy : %.6g\n"
-          (Social.price_of_anarchy ~tol ~max_iter inst)
+          (Social.price_of_anarchy_of inst ~equilibrium:eq ~optimum:opt)
       end
 
 let cmd =

@@ -39,7 +39,10 @@ let braess ~with_bridge =
 let report name inst =
   let eq = Frank_wolfe.equilibrium inst in
   let cost = Social.cost inst eq.Frank_wolfe.flow in
-  let poa = Social.price_of_anarchy inst in
+  let poa =
+    Social.price_of_anarchy_of inst ~equilibrium:eq
+      ~optimum:(Social.optimum inst)
+  in
   Format.printf "%-16s equilibrium cost %.4f, price of anarchy %.4f@." name
     cost poa;
   cost

@@ -11,7 +11,6 @@ let scheme_of_string = function
 
 let scheme_name = function Euler -> "euler" | Rk4 -> "rk4"
 
-let scratch_vectors = function Euler -> 1 | Rk4 -> 5
 let stage_evals = function Euler -> 1 | Rk4 -> 4
 
 let integrate_phase_into ?(probe = Probe.null) ?(t0 = 0.) scheme inst ~pool

@@ -14,10 +14,6 @@ type scheme = Euler | Rk4
 val scheme_of_string : string -> scheme option
 val scheme_name : scheme -> string
 
-val scratch_vectors : scheme -> int
-(** How many pool buffers {!integrate_phase_into} acquires for the
-    duration of a phase (1 for Euler, 5 for RK4). *)
-
 val stage_evals : scheme -> int
 (** Derivative evaluations per step (1 for Euler, 4 for RK4) — used by
     instrumented callers to account derivative work. *)

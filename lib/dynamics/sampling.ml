@@ -51,8 +51,11 @@ let distribution_into rule inst ~commodity ~flow ~latencies ~from_ ~dst =
     invalid_arg "Sampling.distribution_into: buffer too small";
   (match rule with
   | Uniform ->
+      (* A loop, not [Array.fill]: the polymorphic fill would box [u]. *)
       let u = 1. /. float_of_int m in
-      Array.fill dst 0 m u
+      for j = 0 to m - 1 do
+        dst.(j) <- u
+      done
   | Proportional ->
       let r = Instance.demand inst commodity in
       for j = 0 to m - 1 do

@@ -1,5 +1,3 @@
-module Table = Staleroute_util.Table
-
 let event_to_json = function
   | Probe.Phase_start { index; time; potential } ->
       Json.Obj
@@ -257,5 +255,3 @@ let snapshot_to_json snap =
        snap)
 
 let snapshot_to_string snap = Json.to_string (snapshot_to_json snap)
-
-let snapshot_csv snap = Table.to_csv (Metrics.to_table snap)

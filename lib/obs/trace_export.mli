@@ -49,5 +49,3 @@ val snapshot_to_json : Metrics.snapshot -> Json.t
     and gauges map to scalars, distributions to summary objects. *)
 
 val snapshot_to_string : Metrics.snapshot -> string
-val snapshot_csv : Metrics.snapshot -> string
-(** CSV with the same three columns as {!Metrics.to_table}. *)

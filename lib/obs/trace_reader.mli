@@ -14,23 +14,16 @@
 type meta = { schema : int }
 (** The parsed header of a versioned trace. *)
 
-val fold_channel :
-  in_channel ->
-  init:'a ->
-  f:('a -> Probe.event -> 'a) ->
-  (meta option * 'a, string) result
-(** Fold [f] over every event in the stream, in order.  [meta] is
-    [Some] when the first record was a schema stamp (which is not
-    passed to [f]), [None] for a legacy trace.  Blank lines are
-    skipped; the error message names the offending line. *)
-
 val fold_file :
   string ->
   init:'a ->
   f:('a -> Probe.event -> 'a) ->
   (meta option * 'a, string) result
-(** {!fold_channel} over the named file; an unreadable file is an
-    [Error], not an exception. *)
+(** Fold [f] over every event in the named file, in order.  [meta] is
+    [Some] when the first record was a schema stamp (which is not
+    passed to [f]), [None] for a legacy trace.  Blank lines are
+    skipped; the error message names the offending line, and an
+    unreadable file is an [Error], not an exception. *)
 
 val read_file : string -> (meta option * Probe.event list, string) result
 (** Convenience: the whole trace as a list (does hold every event in

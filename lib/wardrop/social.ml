@@ -16,9 +16,12 @@ let optimum ?max_iter ?tol inst =
     ~slope:(fun l load -> Latency.eval l load +. (load *. Latency.deriv l load))
     inst
 
-let price_of_anarchy ?max_iter ?tol inst =
-  let eq = Frank_wolfe.equilibrium ?max_iter ?tol inst in
-  let opt = optimum ?max_iter ?tol inst in
-  let ceq = cost inst eq.Frank_wolfe.flow in
-  let copt = opt.Frank_wolfe.objective in
+let price_of_anarchy_of inst ~equilibrium ~optimum =
+  let ceq = cost inst equilibrium.Frank_wolfe.flow in
+  let copt = optimum.Frank_wolfe.objective in
   if copt = 0. then if ceq = 0. then 1. else infinity else ceq /. copt
+
+let price_of_anarchy ?max_iter ?tol inst =
+  price_of_anarchy_of inst
+    ~equilibrium:(Frank_wolfe.equilibrium ?max_iter ?tol inst)
+    ~optimum:(optimum ?max_iter ?tol inst)

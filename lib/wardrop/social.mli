@@ -26,5 +26,16 @@ val optimum : ?max_iter:int -> ?tol:float -> Instance.t -> Frank_wolfe.result
     bound on the optimum.  The test suite checks that such a solve ends
     no worse than projected gradient ({!Descent}). *)
 
+val price_of_anarchy_of :
+  Instance.t ->
+  equilibrium:Frank_wolfe.result ->
+  optimum:Frank_wolfe.result ->
+  float
+(** [C(equilibrium) / C(optimum)] from solves already at hand:
+    [cost] of the equilibrium's flow over the optimum's objective.
+    Returns 1 when both costs are zero and [infinity] when only the
+    optimum's is. *)
+
 val price_of_anarchy : ?max_iter:int -> ?tol:float -> Instance.t -> float
-(** [C(wardrop) / C(optimum)].  Returns 1 when both costs are zero. *)
+(** {!price_of_anarchy_of} over a fresh {!Frank_wolfe.equilibrium} and
+    {!optimum} of the instance. *)

@@ -97,25 +97,25 @@ let expected =
     ( "stale faults+outage, repair / trajectory",
       "c137d14f3548b5964b2da834322c58bd" );
     ( "stale faults+outage, repair / discrete",
-      "cfb41540a1fdb07a77948ce819630e00" );
+      "8f9943ce502a777a201486cf506d5cb7" );
     ( "fresh colgen / driver",
-      "8ad13f96e5d4bace60ff4f77331f0289" );
+      "59eb5ae44219f386f634eabb2dab2c86" );
     ( "fresh colgen / trajectory",
-      "fb0385891a78088fb69ccf9a98ade9ac" );
+      "53693d563c9e7d73c515539f9ec7a750" );
     ( "fresh colgen / discrete",
-      "73fc0e15dab6b8171c2f4478c86d4ad8" );
+      "030a4a175268f6c2de49ea6a10ba64cc" );
     ( "stale colgen faults+outage, repair / driver",
-      "c1df2851a8528705d5c1bfa6e9569a63" );
+      "75de7a42be0a5c58f43c81db4b8269af" );
     ( "stale colgen faults+outage, repair / trajectory",
-      "5c10ec3390c932a3e9f10e373958e3fa" );
+      "6d812774d1e550adb3cd8b88c2930c80" );
     ( "stale colgen faults+outage, repair / discrete",
-      "7653395409f52f5c58e81f4b1a50a2de" );
+      "33f73273675dcbab9a8cae97c8e54f42" );
     ( "fresh faults+outage, repair / driver",
-      "37da08b13b4cb5ea1fd6ef3e2a54e463" );
+      "5c8fddb07acc459c8b4203dad4bcefac" );
     ( "fresh faults+outage, repair / trajectory",
       "fe43f976cc7b254db7b24d33e00a57b9" );
     ( "fresh faults+outage, repair / discrete",
-      "1c00e889101a7ef13ae723197f85a136" );
+      "eded78cdeac9105142d5171e8ce85d03" );
   ]
 
 let test_trace_digests () =

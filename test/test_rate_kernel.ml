@@ -46,23 +46,19 @@ let custom_migration =
       alpha = None;
     }
 
-let samplings =
-  [
-    Sampling.Uniform;
-    Sampling.Proportional;
-    Sampling.Logit 3.;
-    Sampling.Mixed 0.25;
-    custom_sampling;
-  ]
+let builtin_samplings =
+  [ Sampling.Uniform; Sampling.Proportional; Sampling.Logit 3.; Sampling.Mixed 0.25 ]
 
-let migrations inst =
+let builtin_migrations inst =
   [
     Migration.Better_response;
     Migration.Linear { ell_max = Float.max 1. (Instance.ell_max inst) };
     Migration.Scaled_linear { alpha = 0.7 };
     Migration.Relative { scale = 0.5 };
-    custom_migration;
   ]
+
+let samplings = builtin_samplings @ [ custom_sampling ]
+let migrations inst = builtin_migrations inst @ [ custom_migration ]
 
 let flows inst r =
   [
@@ -104,50 +100,128 @@ let prop_kernel_matches_reference =
             (flows inst r))
         (flows inst r))
 
-(* Sharding the build across a domain pool compiles each commodity's
-   block into its own slice of the kernel: the result must be
-   bit-identical to the sequential build, for every policy pair and any
-   pool width. *)
-let prop_sharded_build_bit_identical =
-  qcheck ~count:30 "qcheck: sharded build = whole build (bitwise)"
-    QCheck2.Gen.(pair (int_range 2 4) (int_range 0 1_000_000))
-    (fun (width, seed) ->
+(* --- The factored kernel ---
+
+   Every policy without [Custom] parts compiles to sorted-latency prefix
+   sums instead of a dense matrix.  The properties below exercise it on
+   the boards where prefix sums are delicate: ties (the strict
+   ℓ_Q < ℓ_P edge), dead edges at [Faults.dead_latency] (sums that must
+   never subtract across 1e12), several commodities, and grown
+   instances whose commodities occupy several runs of the global
+   index. *)
+
+(* Three commodities from different corners of a 4x4 grid. *)
+let three_commodity () =
+  let st = Gen.grid ~width:4 ~height:4 in
+  let m = Staleroute_graph.Digraph.edge_count st.Gen.graph in
+  let latencies =
+    Array.init m (fun e ->
+        Latency.affine
+          ~slope:(0.4 +. (0.3 *. float_of_int (e mod 5)))
+          ~intercept:(0.05 *. float_of_int (e mod 4)))
+  in
+  Instance.create ~graph:st.Gen.graph ~latencies
+    ~commodities:
+      [
+        Commodity.make ~src:0 ~dst:15 ~demand:0.5;
+        Commodity.make ~src:1 ~dst:15 ~demand:0.3;
+        Commodity.make ~src:5 ~dst:15 ~demand:0.2;
+      ]
+    ()
+
+(* [inst] rebuilt from one path per commodity and grown by the others
+   round-robin, as column generation grows it: every commodity with
+   more than two paths ends up in several runs of the global index. *)
+let interleaved inst =
+  let nc = Instance.commodity_count inst in
+  let ps ci = Instance.paths_of_commodity inst ci in
+  let base =
+    Instance.of_paths ~graph:(Instance.graph inst)
+      ~latencies:
+        (Array.init
+           (Staleroute_graph.Digraph.edge_count (Instance.graph inst))
+           (Instance.latency inst))
+      ~commodities:(List.init nc (Instance.commodity inst))
+      ~paths:(Array.init nc (fun ci -> [ Instance.path inst (ps ci).(0) ]))
+      ()
+  in
+  let longest = Instance.max_paths_in_commodity inst in
+  let grown =
+    List.concat
+      (List.init (longest - 1) (fun j ->
+           List.filter_map
+             (fun ci ->
+               if j + 1 < Array.length (ps ci) then
+                 Some (ci, Instance.path inst (ps ci).(j + 1))
+               else None)
+             (List.init nc Fun.id)))
+  in
+  Instance.extend base ~paths:grown
+
+let factored_instances () =
+  [
+    Common.braess ();
+    Common.parallel 6;
+    Common.grid33 ();
+    Common.two_commodity ();
+    three_commodity ();
+    interleaved (Common.two_commodity ());
+    interleaved (three_commodity ());
+  ]
+
+(* Posted edge latencies: induced by a random flow, drawn from
+   {0, 1/4, 1/2} so that path latencies tie, or induced with one or two
+   edges dead.  The second dead edge sits a quarter above the first,
+   inside every test policy's window width. *)
+let random_board inst r =
+  let flow = Flow.random inst r in
+  let ne = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
+  let induced () = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
+  let edge_latencies =
+    match Rng.int r 4 with
+    | 0 -> induced ()
+    | 1 -> Array.init ne (fun _ -> 0.25 *. float_of_int (Rng.int r 3))
+    | dead ->
+        let l = induced () in
+        l.(Rng.int r ne) <- Faults.dead_latency;
+        if dead = 3 then l.(Rng.int r ne) <- Faults.dead_latency +. 0.25;
+        l
+  in
+  (flow, edge_latencies)
+
+let post_random inst r ~time =
+  let flow, edge_latencies = random_board inst r in
+  Bulletin_board.post ~edge_latencies inst ~time flow
+
+let prop_factored_matches_reference =
+  qcheck ~count:80
+    "qcheck: factored derivative = reference within 1e-12 max|fdot|"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
       let r = Rng.create ~seed () in
-      let insts = instances () in
+      let insts = factored_instances () in
       let inst = List.nth insts (Rng.int r (List.length insts)) in
-      let board = Bulletin_board.post inst ~time:0. (Flow.random inst r) in
-      let flow = Flow.random inst r in
-      Staleroute_util.Pool.with_pool ~domains:width (fun pool ->
+      let board = post_random inst r ~time:0. in
+      List.for_all
+        (fun flow ->
           List.for_all
             (fun sampling ->
               List.for_all
                 (fun migration ->
                   let policy = Policy.make ~sampling ~migration in
-                  let whole = Rate_kernel.build inst policy ~board in
-                  (* The test instances sit below the auto-threshold,
-                     so force sharding to exercise the pooled path. *)
-                  let sharded =
-                    Rate_kernel.build ?pool ~shard_min_entries:0 inst policy
-                      ~board
+                  let reference =
+                    Rates.flow_derivative inst policy ~board flow
                   in
-                  Rate_kernel.flow_derivative whole flow
-                  = Rate_kernel.flow_derivative sharded flow
-                  &&
-                  let n = Instance.path_count inst in
-                  let ok = ref true in
-                  for p = 0 to n - 1 do
-                    for q = 0 to n - 1 do
-                      if
-                        not
-                          (Float.equal
-                             (Rate_kernel.rate whole ~from_:p q)
-                             (Rate_kernel.rate sharded ~from_:p q))
-                      then ok := false
-                    done
-                  done;
-                  !ok)
-                (migrations inst))
-            samplings))
+                  let kernel = Rate_kernel.build inst policy ~board in
+                  let dst = Vec.create (Instance.path_count inst) nan in
+                  Rate_kernel.flow_derivative_into kernel flow ~dst;
+                  let err = Vec.dist_inf reference dst in
+                  err <= 1e-12 *. Vec.norm_inf reference
+                  || QCheck2.Test.fail_reportf "%s: error %g, max|fdot| %g"
+                       (Policy.name policy) err (Vec.norm_inf reference))
+                (builtin_migrations inst))
+            builtin_samplings)
+        [ Flow.random inst r; Flow.uniform inst; Flow.concentrated inst ~on:(fun _ -> 0) ])
 
 let kernels_bitwise_equal inst a b flow =
   let n = Instance.path_count inst in
@@ -228,6 +302,145 @@ let prop_update_matches_build =
               !ok)
             (migrations inst))
         samplings)
+
+(* A posted NaN or infinite latency cannot be sorted into prefix sums:
+   that commodity is evaluated pair by pair, as the dense kernel would.
+   The derivative is NaN exactly where the reference's is, and agrees
+   elsewhere. *)
+let test_non_finite_board_pairwise () =
+  let inst = Common.parallel 5 in
+  let flow = Flow.random inst (rng ()) in
+  let edge_latencies =
+    Flow.edge_latencies inst (Flow.edge_flows inst flow)
+  in
+  edge_latencies.(1) <- Float.nan;
+  edge_latencies.(3) <- Float.infinity;
+  let board = Bulletin_board.post ~edge_latencies inst ~time:0. flow in
+  let live = Flow.random inst (rng ~seed:99 ()) in
+  List.iter
+    (fun sampling ->
+      List.iter
+        (fun migration ->
+          let policy = Policy.make ~sampling ~migration in
+          let reference = Rates.flow_derivative inst policy ~board live in
+          let got =
+            Rate_kernel.flow_derivative
+              (Rate_kernel.build inst policy ~board)
+              live
+          in
+          for p = 0 to Instance.path_count inst - 1 do
+            let x = Vec.get reference p and y = Vec.get got p in
+            if
+              Float.is_nan x <> Float.is_nan y
+              || ((not (Float.is_nan x)) && Float.abs (x -. y) > 1e-12)
+            then
+              Alcotest.failf "%s: fdot_%d = %g, reference %g"
+                (Policy.name policy) p y x
+          done)
+        (builtin_migrations inst))
+    [ Sampling.Uniform; Sampling.Proportional; Sampling.Mixed 0.25 ]
+
+(* Two boards at the edges of the factored sums, each against the
+   reference within 1e-12 max|fdot|:
+   - a gap that splits a cluster (b − a rounds to the window width
+     2.5) while b still rounds below a + 2.5: the inflow of a must
+     saturate at the split, not run an affine window past it;
+   - under replicator sampling with relative migration, an unused path
+     far below a near tie: the tie's exchange is all that moves, and
+     it must not cancel against sums anchored at the far latency. *)
+let test_factored_edge_boards () =
+  let check name inst policy ~edge_latencies ~posted =
+    let board = Bulletin_board.post ~edge_latencies inst ~time:0. posted in
+    let live = Flow.random inst (rng ~seed:5 ()) in
+    let reference = Rates.flow_derivative inst policy ~board live in
+    let got =
+      Rate_kernel.flow_derivative (Rate_kernel.build inst policy ~board) live
+    in
+    let err = Vec.dist_inf reference got in
+    check_true
+      (Printf.sprintf "%s: error %g <= 1e-12 max|fdot| %g" name err
+         (Vec.norm_inf reference))
+      (err <= 1e-12 *. Vec.norm_inf reference)
+  in
+  let two = Common.parallel 2 in
+  let a = 1.1309537029019168 and b = 3.6309537029019165 in
+  check_true "b - a >= 2.5 > b - (a + 2.5)" (b -. a >= 2.5 && b < a +. 2.5);
+  check "cluster split at the breakpoint" two
+    (Policy.make ~sampling:Sampling.Uniform
+       ~migration:(Migration.Scaled_linear { alpha = 0.4 }))
+    ~edge_latencies:[| a; b |] ~posted:(Flow.uniform two);
+  let three = Common.parallel 3 in
+  check "far anchor below a near tie" three
+    (Policy.make ~sampling:Sampling.Proportional
+       ~migration:(Migration.Relative { scale = 0.5 }))
+    ~edge_latencies:[| 1.; 1000.; 1000.001 |]
+    ~posted:(vec [| 0.; 0.5; 0.5 |])
+
+(* An update chain over delta reposts — sparse transfers, fresh
+   random flows, tie-heavy and dead-edge boards — is bitwise a fresh
+   build at every link, whether or not the update is handed the
+   repost's changed set. *)
+let prop_update_chain_matches_build =
+  qcheck ~count:40
+    "qcheck: update chain, with and without ?changed = fresh build (bitwise)"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let r = Rng.create ~seed () in
+      let insts = factored_instances () in
+      let inst = List.nth insts (Rng.int r (List.length insts)) in
+      let sampling =
+        List.nth builtin_samplings (Rng.int r (List.length builtin_samplings))
+      in
+      let migrations = builtin_migrations inst in
+      let migration = List.nth migrations (Rng.int r (List.length migrations)) in
+      let policy = Policy.make ~sampling ~migration in
+      let delta = Bulletin_board.delta () in
+      let prev = ref (Bulletin_board.post inst ~time:0. (Flow.random inst r)) in
+      let k = ref (Rate_kernel.build inst policy ~board:!prev) in
+      let ok = ref true in
+      for i = 1 to 8 do
+        let time = float_of_int i in
+        let board =
+          match Rng.int r 3 with
+          | 0 ->
+              (* Move a little mass between two paths of one commodity. *)
+              let f = Vec.copy !prev.Bulletin_board.flow in
+              let ps =
+                Instance.paths_of_commodity inst
+                  (Rng.int r (Instance.commodity_count inst))
+              in
+              let a = ps.(Rng.int r (Array.length ps))
+              and b = ps.(Rng.int r (Array.length ps)) in
+              let moved = 0.3 *. Vec.get f a in
+              Vec.set f a (Vec.get f a -. moved);
+              Vec.set f b (Vec.get f b +. moved);
+              Bulletin_board.repost ~delta inst ~prev:!prev ~time f
+          | 1 ->
+              Bulletin_board.repost ~delta inst ~prev:!prev ~time
+                (Flow.random inst r)
+          | _ ->
+              let flow, edge_latencies = random_board inst r in
+              Bulletin_board.repost ~delta ~edge_latencies inst ~prev:!prev
+                ~time flow
+        in
+        (k :=
+           if Rng.bool r then
+             Rate_kernel.update
+               ~changed:
+                 ( Bulletin_board.changed_paths delta,
+                   Bulletin_board.changed_count delta )
+               !k ~board
+           else Rate_kernel.update !k ~board);
+        if
+          not
+            (Rate_kernel.is_current !k ~board
+            && kernels_bitwise_equal inst !k
+                 (Rate_kernel.build inst policy ~board)
+                 (Flow.random inst r))
+        then ok := false;
+        prev := board
+      done;
+      !ok)
 
 let test_rate_accessor_matches_migration_rate () =
   let inst = Common.two_commodity () in
@@ -462,10 +675,13 @@ let test_faulted_repost_allocation_bounded () =
 let suite =
   [
     prop_kernel_matches_reference;
-    prop_sharded_build_bit_identical;
     prop_update_matches_build;
+    prop_factored_matches_reference;
+    prop_update_chain_matches_build;
     case "rate accessor = migration_rate" test_rate_accessor_matches_migration_rate;
     case "cross-commodity rate" test_cross_commodity_rate_is_zero;
+    case "non-finite board evaluated pairwise" test_non_finite_board_pairwise;
+    case "factored sums at their edge cases" test_factored_edge_boards;
     case "validation" test_kernel_validation;
     case "kernel is stale until rebuilt" test_kernel_is_stale;
     case "in-place integrator bit-identical" test_integrate_into_matches_integrate;

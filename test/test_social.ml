@@ -35,6 +35,21 @@ let test_braess_poa () =
   check_close ~eps:1e-3 "braess PoA 4/3" (4. /. 3.)
     (Social.price_of_anarchy (Common.braess ()))
 
+(* The ratio from solves already at hand is [price_of_anarchy]'s, bit
+   for bit: the CLIs' reports solve each problem once. *)
+let test_poa_of_results () =
+  List.iter
+    (fun (name, inst) ->
+      let equilibrium = Frank_wolfe.equilibrium inst in
+      let optimum = Social.optimum inst in
+      check_true
+        (name ^ ": price_of_anarchy_of = price_of_anarchy, bitwise")
+        (Int64.equal
+           (Int64.bits_of_float
+              (Social.price_of_anarchy_of inst ~equilibrium ~optimum))
+           (Int64.bits_of_float (Social.price_of_anarchy inst))))
+    [ ("pigou", pigou ()); ("braess", Common.braess ()) ]
+
 let test_poa_at_least_one () =
   List.iter
     (fun inst ->
@@ -86,6 +101,7 @@ let suite =
     case "pigou optimum" test_pigou_optimum;
     case "pigou PoA" test_pigou_poa;
     case "braess PoA" test_braess_poa;
+    case "PoA from solved results" test_poa_of_results;
     case "PoA >= 1" test_poa_at_least_one;
     case "constant latencies PoA 1" test_poa_one_for_constant_latencies;
     case "zero-cost PoA" test_poa_zero_cost_edge_case;
