@@ -307,23 +307,46 @@ let run_experiments ~quick ~jobs names =
 
 (* --- Bechamel microbenchmarks of the hot paths --- *)
 
+(* The latency of link [j] of [m] parallel links in the rate
+   benchmarks. *)
+let parallel_link_latency m j =
+  Staleroute_latency.Latency.affine
+    ~slope:(float_of_int (1 + (j mod 3)))
+    ~intercept:(0.3 *. float_of_int j /. float_of_int m)
+
 (* A multi-commodity load-balancing workload for the rate benchmarks:
    two commodities splitting the unit demand over the same [m] parallel
    links, i.e. [2 * m] paths in the global index. *)
 let multicommodity_parallel m =
   let open Staleroute_wardrop in
   let st = Staleroute_graph.Gen.parallel_links m in
-  let latencies =
-    Array.init m (fun j ->
-        Staleroute_latency.Latency.affine
-          ~slope:(float_of_int (1 + (j mod 3)))
-          ~intercept:(0.3 *. float_of_int j /. float_of_int m))
-  in
+  let latencies = Array.init m (parallel_link_latency m) in
   Instance.create ~graph:st.Staleroute_graph.Gen.graph ~latencies
     ~commodities:
       (List.init 2 (fun _ ->
            Commodity.make ~src:st.Staleroute_graph.Gen.src
              ~dst:st.Staleroute_graph.Gen.dst ~demand:0.5))
+    ()
+
+(* [multicommodity_parallel]'s twin whose commodities share no link:
+   each splits its half of the demand over its own [m] parallel links
+   (nodes 0 -> 1 and 2 -> 3), again [2 * m] paths.  A transfer inside
+   one commodity leaves the other's paths untouched. *)
+let disjoint_parallel m =
+  let open Staleroute_wardrop in
+  let links src dst = List.init m (fun _ -> (src, dst)) in
+  let graph =
+    Staleroute_graph.Digraph.create ~nodes:4 ~edges:(links 0 1 @ links 2 3)
+  in
+  let latencies =
+    Array.init (2 * m) (fun e -> parallel_link_latency m (e mod m))
+  in
+  Instance.create ~graph ~latencies
+    ~commodities:
+      [
+        Commodity.make ~src:0 ~dst:1 ~demand:0.5;
+        Commodity.make ~src:2 ~dst:3 ~demand:0.5;
+      ]
     ()
 
 (* The end-to-end benchmark's fresh_grid instance at seed 1: a 4x4 grid
@@ -416,30 +439,42 @@ let bench_rates ~quota_s ~json_path () =
   let upd_kernel = Rate_kernel.build inst policy ~board in
   let flip = ref false in
   (* The sparse-delta workload: a two-path transfer within one
-     commodity.  Two flow entries move, two edges go dirty, and only
-     the four paths over them change — the steady-state fresh-mode
-     step, where [repost] + [update ?changed] replace the full post and
-     the dense refresh. *)
-  let flow3 =
+     commodity.  Two flow entries move and two edges go dirty — the
+     steady-state fresh-mode step, where [repost] + [update ?changed]
+     replace the full post and the dense refresh. *)
+  let transfer flow =
     let g = Staleroute_util.Vec.copy flow in
     Staleroute_util.Vec.set g 0 (Staleroute_util.Vec.get g 0 -. 0.004);
     Staleroute_util.Vec.set g 1 (Staleroute_util.Vec.get g 1 +. 0.004);
     g
   in
+  let flow3 = transfer flow in
   let delta = Bulletin_board.delta () in
-  let board3 =
-    Bulletin_board.repost ~delta inst ~prev:board ~time:1e-3 flow3
+  (* The kernel side runs on [disjoint_parallel]: on [inst] both
+     commodities cross the two dirty links, so the transfer changes
+     paths of both and [update ?changed] recompiles every block.  Here
+     only the moving commodity's two paths change. *)
+  let sparse_inst = disjoint_parallel m in
+  let sparse_policy = Policy.uniform_linear sparse_inst in
+  let sparse_flow = Flow.uniform sparse_inst in
+  let sparse_board = Bulletin_board.post sparse_inst ~time:0. sparse_flow in
+  let sparse_delta = Bulletin_board.delta () in
+  let sparse_board3 =
+    Bulletin_board.repost ~delta:sparse_delta sparse_inst ~prev:sparse_board
+      ~time:1e-3 (transfer sparse_flow)
   in
   (* The changed set is symmetric (same paths move bits in either
      direction), so one copy serves the whole flip chain. *)
   let changed =
     ( Array.sub
-        (Bulletin_board.changed_paths delta)
+        (Bulletin_board.changed_paths sparse_delta)
         0
-        (Bulletin_board.changed_count delta),
-      Bulletin_board.changed_count delta )
+        (Bulletin_board.changed_count sparse_delta),
+      Bulletin_board.changed_count sparse_delta )
   in
-  let sparse_kernel = Rate_kernel.build inst policy ~board in
+  let sparse_kernel =
+    Rate_kernel.build sparse_inst sparse_policy ~board:sparse_board
+  in
   let sflip = ref false in
   let tests =
     [
@@ -474,7 +509,7 @@ let bench_rates ~quota_s ~json_path () =
              sflip := not !sflip;
              ignore
                (Rate_kernel.update ~changed sparse_kernel
-                  ~board:(if !sflip then board3 else board))));
+                  ~board:(if !sflip then sparse_board3 else sparse_board))));
     ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second quota_s) () in

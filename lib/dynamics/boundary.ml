@@ -284,7 +284,7 @@ let grow b ~index ~time f =
       let l = live b in
       let sp = Span.enter b.spans "colgen_price" in
       (* While edges are dead, pricing runs over the alive network: dead
-         edges weigh [infinity] (Dijkstra accepts it), so the oracle can
+         edges weigh [infinity] (pricing accepts it), so the oracle can
          admit a detour column but never a dead one. *)
       let pricing_latencies =
         match b.down with

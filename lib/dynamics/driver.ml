@@ -188,6 +188,7 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
   in
   let f = ref f0 in
   let phi = ref (Potential.phi (Boundary.instance b) !f) in
+  let ledger = Virtual_gain.ledger (Boundary.instance b) !f in
   for k = start_phase to config.phases - 1 do
     let sp_phase = Span.enter spans "phase" in
     let start_time = float_of_int k *. tau in
@@ -208,10 +209,11 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
        potential). *)
     let start_flow = Boundary.widen b start_flow in
     Boundary.guard_check b ~index:k ~time:(start_time +. tau) next;
-    let next_phi = Potential.phi inst next in
-    let virtual_gain =
-      Virtual_gain.virtual_gain inst ~phase_start:start_flow ~phase_end:next
-    in
+    (* Φ(end) and V(start, end) in one pass; the ledger already holds
+       the start flow's edge flows (the previous phase's end). *)
+    let sp = Span.enter spans "phase_account" in
+    let next_phi, virtual_gain = Virtual_gain.close_phase ledger inst next in
+    Span.exit spans sp;
     let delta_phi = next_phi -. start_potential in
     if Probe.enabled probe then
       Probe.emit probe

@@ -207,6 +207,6 @@ val dead_edge_latencies : Instance.t -> down:bool array -> Flow.t -> float array
 
 val alive_latencies : down:bool array -> float array -> float array
 (** A copy of [latencies] with dead edges at [infinity] — the pricing
-    weights for column generation, so Dijkstra never routes a detour
-    over a dead edge ([Dijkstra] accepts [infinity]; it only rejects
-    negative weights). *)
+    weights for column generation, so pricing never routes a detour
+    over a dead edge ({!Staleroute_graph.Shortest_path} accepts
+    [infinity]; it only rejects negative weights). *)

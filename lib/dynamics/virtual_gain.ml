@@ -1,15 +1,6 @@
 open Staleroute_wardrop
 module Latency = Staleroute_latency.Latency
-
-let virtual_gain inst ~phase_start ~phase_end =
-  let fe_hat = Flow.edge_flows inst phase_start in
-  let fe = Flow.edge_flows inst phase_end in
-  let ell_hat = Flow.edge_latencies inst fe_hat in
-  let acc = ref 0. in
-  Array.iteri
-    (fun e l -> acc := !acc +. (l *. (fe.(e) -. fe_hat.(e))))
-    ell_hat;
-  !acc
+module Vec = Staleroute_util.Vec
 
 let error_terms inst ~phase_start ~phase_end =
   let fe_hat = Flow.edge_flows inst phase_start in
@@ -31,3 +22,55 @@ let error_terms inst ~phase_start ~phase_end =
 
 let true_gain inst ~phase_start ~phase_end =
   Potential.phi inst phase_end -. Potential.phi inst phase_start
+
+(* Φ and V follow [Potential]'s edge rule: sums in edge order over the
+   edges some active path uses.  An unused edge has load 0 at both
+   ends, so its V term ℓ_e(0)·(0 − 0) is ±0 (ℓ_e(0) is finite) and
+   skipping it is bitwise-inert. *)
+type ledger = { mutable start : float array; mutable finish : float array }
+
+(* The loads of the used edges, each summed from 0. over its transpose
+   row in ascending path index, skipping zero flows: per edge the same
+   additions in the same order as [Flow.edge_flows], hence its bits.
+   Unused edges are never written and stay 0. *)
+let gather inst f loads =
+  if Vec.dim f <> Instance.path_count inst then
+    invalid_arg "Virtual_gain: flow dimension is not the instance's path count";
+  let t_off = Instance.edge_csr_offsets inst in
+  let t_paths = Instance.edge_csr_paths inst in
+  for e = 0 to Array.length loads - 1 do
+    if t_off.(e) < t_off.(e + 1) then begin
+      let acc = ref 0. in
+      for k = t_off.(e) to t_off.(e + 1) - 1 do
+        let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
+        if fp <> 0. then acc := !acc +. fp
+      done;
+      loads.(e) <- !acc
+    end
+  done
+
+let ledger inst f =
+  let m = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
+  let start = Array.make m 0. in
+  gather inst f start;
+  { start; finish = Array.make m 0. }
+
+let close_phase l inst f =
+  gather inst f l.finish;
+  let used = Instance.edge_csr_offsets inst in
+  let start = l.start and finish = l.finish in
+  let phi = ref 0. and v = ref 0. in
+  for e = 0 to Array.length finish - 1 do
+    if used.(e) < used.(e + 1) then begin
+      let lat = Instance.latency inst e in
+      let load = finish.(e) and hat = start.(e) in
+      phi := !phi +. Latency.integral lat load;
+      v := !v +. (Latency.eval lat hat *. (load -. hat))
+    end
+  done;
+  l.start <- finish;
+  l.finish <- start;
+  (!phi, !v)
+
+let virtual_gain inst ~phase_start ~phase_end =
+  snd (close_phase (ledger inst phase_start) inst phase_end)

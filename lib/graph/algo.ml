@@ -52,7 +52,7 @@ let topological_order g =
   in
   drain [] 0
 
-let is_acyclic g = topological_order g <> None
+let is_acyclic g = Digraph.dag g <> None
 
 let strongly_connected_components g =
   (* Iterative Tarjan to survive deep graphs without stack overflow. *)

@@ -36,5 +36,21 @@ val out_degree : t -> node -> int
 val mem_edge : t -> src:node -> dst:node -> bool
 (** Whether at least one edge [src -> dst] exists. *)
 
+(** A flat view of an acyclic graph, for one-pass relaxations. *)
+type dag = private {
+  order : node array;  (** every node, in a topological order *)
+  out_offsets : int array;
+      (** node [v]'s out-edges sit at slots
+          [out_offsets.(v) .. out_offsets.(v+1) - 1]; length
+          [node_count + 1] *)
+  out_edges : int array;  (** edge id per slot, ascending within a node *)
+  out_heads : node array;  (** head ([dst]) of the slot's edge *)
+}
+
+val dag : t -> dag option
+(** The graph's acyclic view, or [None] when it has a directed cycle.
+    Built on the first call in O(V + E) and cached on the graph, so
+    every caller shares one copy; safe to call from several domains. *)
+
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
 val pp : Format.formatter -> t -> unit

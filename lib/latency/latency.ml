@@ -16,9 +16,13 @@ and pwl = {
   cum : float array;  (* cum.(i) = ∫_0^{xs.(i)} *)
 }
 
+(* Parameters must also be finite: then every family has a finite
+   value and a ±0 integral at load 0, which is what lets Φ and V skip
+   edges no path uses (Potential.phi_of_edge_flows). *)
 let nonneg name v =
-  if v < 0. || Float.is_nan v then
-    invalid_arg (Printf.sprintf "Latency.%s: negative argument" name)
+  if not (v >= 0. && v < infinity) then
+    invalid_arg
+      (Printf.sprintf "Latency.%s: negative or non-finite argument" name)
 
 let const c =
   nonneg "const" c;
@@ -58,6 +62,8 @@ let pwl points =
     points;
   if xs.(0) <> 0. then invalid_arg "Latency.pwl: first breakpoint must be x=0";
   if xs.(n - 1) < 1. then invalid_arg "Latency.pwl: breakpoints must cover [0,1]";
+  if xs.(n - 1) = infinity then
+    invalid_arg "Latency.pwl: non-finite breakpoint";
   for i = 0 to n - 2 do
     if xs.(i + 1) <= xs.(i) then
       invalid_arg "Latency.pwl: x-coordinates must be strictly increasing";
@@ -75,8 +81,8 @@ let pwl points =
   Pwl { xs; ys; cum }
 
 let mm1 ~capacity =
-  if capacity <= 1. then
-    invalid_arg "Latency.mm1: capacity must exceed 1 for a bounded slope";
+  if not (capacity > 1. && capacity < infinity) then
+    invalid_arg "Latency.mm1: capacity must be finite and exceed 1";
   Mm1 { capacity }
 
 let scale s f =

@@ -9,8 +9,9 @@
     controls the safe bulletin-board period [T ≤ 1/(4 D α β)].
 
     All constructors validate that the resulting function is
-    non-negative and non-decreasing on [0, 1] and raise
-    [Invalid_argument] otherwise. *)
+    non-negative and non-decreasing on [0, 1], and that every parameter
+    is finite, and raise [Invalid_argument] otherwise.  So every
+    latency is finite at load 0 and its integral there is ±0. *)
 
 type t
 

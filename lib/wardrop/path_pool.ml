@@ -14,7 +14,7 @@ type t = {
      posted latencies) that priced to "no growth".  Pricing is a pure
      function of exactly those two, so re-pricing the same instance
      under bit-identical latencies can only return the same empty
-     admission list — skipping the Dijkstra sweep is bitwise-inert.
+     admission list — skipping the pricing sweep is bitwise-inert.
      Holds its own copy of the latency array (callers reuse buffers);
      cleared whenever growth is admitted. *)
   mutable no_growth : (Instance.t * float array) option;
@@ -46,7 +46,7 @@ let create ?(tolerance = 1e-9) ?(seed = Shortest) ?max_paths_per_commodity
           Array.map
             (fun c ->
               match
-                Dijkstra.shortest_path graph ~weights ~src:c.Commodity.src
+                Shortest_path.find graph ~weights ~src:c.Commodity.src
                   ~dst:c.Commodity.dst
               with
               | Some (p, _) -> [ p ]
@@ -74,20 +74,22 @@ let check_edge_latencies t edge_latencies =
 (* Pricing is a pure function of (active set, posted edge latencies,
    tolerance): no RNG, no mutable pool state, no dependence on how many
    domains run alongside — so same-seed runs grow identically at any
-   [-j], and growth replays bit-for-bit on checkpoint resume. *)
+   [-j], and growth replays bit-for-bit on checkpoint resume.  On a DAG
+   the best response is one topological pass, Dijkstra's path and bits
+   by construction ([Shortest_path]). *)
 let price t inst ~edge_latencies =
   check_edge_latencies t edge_latencies;
   let out = ref [] in
   for ci = Array.length t.commodities - 1 downto 0 do
     let c = t.commodities.(ci) in
     match
-      Dijkstra.shortest_path t.graph ~weights:edge_latencies
+      Shortest_path.find t.graph ~weights:edge_latencies
         ~src:c.Commodity.src ~dst:c.Commodity.dst
     with
     | None -> ()
     | Some (path, cost) ->
         (* The cheapest ACTIVE alternative under the same posting.
-           Dijkstra accumulates its cost in path order, the same
+           The pricing accumulates its cost in path order, the same
            left-to-right order [Flow.path_latency] sums in, so an
            already-active optimum prices out bit-identically and can
            never undercut itself. *)
@@ -157,8 +159,10 @@ let unsatisfied_volume t inst f ~delta =
   let vol = ref 0. in
   for ci = 0 to Array.length t.commodities - 1 do
     let c = t.commodities.(ci) in
-    let result = Dijkstra.run t.graph ~weights:edge_latencies ~src:c.Commodity.src in
-    let lmin = Dijkstra.distance result c.Commodity.dst in
+    let lmin =
+      Shortest_path.distance t.graph ~weights:edge_latencies
+        ~src:c.Commodity.src ~dst:c.Commodity.dst
+    in
     Array.iter
       (fun p ->
         if Flow.path_latency inst ~edge_latencies p > lmin +. delta then

@@ -6,13 +6,22 @@
     alternatives and migrate toward ones the {e board} says are cheaper.
     A pool therefore starts each commodity from a small seed set (by
     default its shortest path at zero flow) and grows it by pricing: at
-    each board post, run Dijkstra over the posted edge latencies and
-    admit the best-response column only when it undercuts the cheapest
-    {e active} path by more than [tolerance].  Pricing against the
-    posted snapshot — not the live flow — is the model-consistent
-    oracle: within a phase agents cannot see latencies the board has not
-    published, so newly discovered routes become available exactly when
-    a repost would reveal them (DESIGN.md §11).
+    each board post, find the shortest path over the posted edge
+    latencies and admit that best-response column only when it
+    undercuts the cheapest {e active} path by more than [tolerance].
+    Pricing against the posted snapshot — not the live flow — is the
+    model-consistent oracle: within a phase agents cannot see latencies
+    the board has not published, so newly discovered routes become
+    available exactly when a repost would reveal them (DESIGN.md §11).
+
+    Every shortest path here (pricing, the {!Shortest} seed and
+    {!unsatisfied_volume}) goes through
+    {!Staleroute_graph.Shortest_path}: one relaxation pass in
+    topological order when the graph is acyclic (the graph caches its
+    order and forward-star arrays once, for every pool over it),
+    Dijkstra otherwise.  The pass returns Dijkstra's path and distance
+    bits; an exact tie it cannot order as Dijkstra's heap would falls
+    back to Dijkstra.
 
     Growth is a pure function of (active set, posted edge latencies,
     tolerance): deterministic, RNG-free, independent of domain-pool
@@ -74,13 +83,15 @@ val tolerance : t -> float
 
 val price : t -> Instance.t -> edge_latencies:float array -> growth list
 (** [price t inst ~edge_latencies] runs the pricing oracle against a
-    posted latency vector: per commodity, the Dijkstra best response,
-    admitted only when strictly cheaper than the cheapest active path
-    by more than [tolerance t].  At most one column per commodity per
-    call (repeated posts admit more over time).  Returns admissions in
-    commodity order; pure — no state is consumed.  Raises
-    [Invalid_argument] on an edge-latency arity mismatch (and, via
-    Dijkstra, on negative latencies). *)
+    posted latency vector: per commodity, the best response
+    ({!Staleroute_graph.Shortest_path.find}: the topological pass on a
+    DAG, Dijkstra on a cyclic graph or an exact tie, the same path and
+    bits either way), admitted only when strictly cheaper than the
+    cheapest active path by more than [tolerance t].  At most one column
+    per commodity per call (repeated posts admit more over time).
+    Returns admissions in commodity order; pure — no state is consumed.
+    Raises [Invalid_argument] on an edge-latency arity mismatch or a
+    negative latency; [infinity] (a dead edge) is accepted. *)
 
 val grow :
   t -> Instance.t -> edge_latencies:float array ->
@@ -91,7 +102,7 @@ val grow :
 
     [grow] memoizes the last negative outcome: pricing the same active
     instance again under bit-identical posted latencies skips the
-    Dijkstra sweep outright (the recomputation could only return the
+    pricing sweep outright (the recomputation could only return the
     same empty list — a pure-function cache, invisible in results, so
     determinism, resume and pooled byte-identity are unaffected).  This
     makes the pool value mutable scratch: do not share one pool across
@@ -108,8 +119,10 @@ val replay : t -> grown:(int * int array) list -> Instance.t
 val unsatisfied_volume : t -> Instance.t -> Flow.t -> delta:float -> float
 (** The colgen analogue of {!Equilibrium.unsatisfied_volume}, judged
     against the {e full implicit} path set: flow volume on active paths
-    whose latency exceeds the true shortest-path latency (Dijkstra over
-    the whole graph at the flow's edge latencies) by more than [delta].
+    whose latency exceeds the true shortest-path latency (over the
+    whole graph at the flow's edge latencies, by
+    {!Staleroute_graph.Shortest_path.distance}: Dijkstra's bits) by more
+    than [delta].
     On a pool whose active set contains every equilibrium-relevant
     column this agrees with the enumerating judge — the differential
     suite pins that down. *)

@@ -217,6 +217,60 @@ let prop_scale_linearity =
       Float.abs (L.eval g x -. (s *. L.eval f x)) < 1e-9
       && Float.abs (L.integral g x -. (s *. L.integral f x)) < 1e-9)
 
+(* Potential.phi and Virtual_gain skip edges no path uses; that is
+   bitwise-inert only because at load 0 every family is finite and has
+   a ±0 integral.  One latency of each constructor per draw, the
+   combinators over random leaves. *)
+let families (c0, c1, c2, knee, degree, cap) =
+  let leaves =
+    [
+      ("const", L.const c0);
+      ("affine", L.affine ~slope:c0 ~intercept:c1);
+      ("monomial", L.monomial ~coeff:c0 ~degree);
+      ("poly", L.poly [| c0; c1; c2 |]);
+      ("relu", L.relu ~slope:c1 ~knee);
+      ( "pwl",
+        L.pwl
+          [ (0., c0); (0.05 +. (knee *. 0.9), c0 +. c1); (1., c0 +. c1 +. c2) ]
+      );
+      ("mm1", L.mm1 ~capacity:cap);
+    ]
+  in
+  let leaf i = snd (List.nth leaves (i mod List.length leaves)) in
+  leaves
+  @ [
+      ("scale", L.scale c2 (leaf degree));
+      ("shift", L.shift c1 (leaf (degree + 1)));
+      ("sum", L.add (leaf degree) (L.scale c0 (leaf (degree + 3))));
+    ]
+
+let prop_inert_at_zero_load =
+  qcheck ~count:300 "qcheck: every family is finite with a ±0 integral at load 0"
+    QCheck2.Gen.(
+      let c = float_range 0. 5. in
+      map
+        (fun ((c0, c1, c2), (knee, degree, cap)) ->
+          (c0, c1, c2, knee, degree, cap))
+        (pair (triple c c c)
+           (triple (float_range 0. 1.) (int_range 1 6) (float_range 1.01 10.))))
+    (fun params ->
+      List.for_all
+        (fun (_, f) ->
+          L.integral f 0. = 0. && Float.is_finite (L.eval f 0.))
+        (families params)
+      && List.length (families params) = 10)
+
+let test_non_finite_parameters_rejected () =
+  check_raises_invalid "const inf" (fun () -> L.const infinity);
+  check_raises_invalid "affine inf" (fun () ->
+      L.affine ~slope:infinity ~intercept:0.);
+  check_raises_invalid "poly inf" (fun () -> L.poly [| 1.; infinity |]);
+  check_raises_invalid "pwl inf y" (fun () -> L.pwl [ (0., 0.); (1., infinity) ]);
+  check_raises_invalid "pwl inf x" (fun () -> L.pwl [ (0., 0.); (infinity, 1.) ]);
+  check_raises_invalid "mm1 inf" (fun () -> L.mm1 ~capacity:infinity);
+  check_raises_invalid "scale inf" (fun () -> L.scale infinity (L.const 1.));
+  check_raises_invalid "shift inf" (fun () -> L.shift infinity (L.const 1.))
+
 let suite =
   [
     case "known evals" test_eval_known_values;
@@ -236,4 +290,6 @@ let suite =
     case "printers" test_pp_roundtrip_readable;
     prop_integral_monotone;
     prop_scale_linearity;
+    prop_inert_at_zero_load;
+    case "non-finite parameters rejected" test_non_finite_parameters_rejected;
   ]

@@ -207,6 +207,50 @@ let prop_growth_fixpoint =
           done;
           !distinct)
 
+(* A grid with edges both ways has cycles: pricing keeps Dijkstra, and
+   every admitted column is Dijkstra's path at Dijkstra's cost. *)
+let test_cyclic_grid_prices_with_dijkstra () =
+  let w = 3 in
+  let node x y = (y * w) + x in
+  let edges = ref [] in
+  for y = 0 to w - 1 do
+    for x = 0 to w - 1 do
+      let both a b = edges := (a, b) :: (b, a) :: !edges in
+      if x + 1 < w then both (node x y) (node (x + 1) y);
+      if y + 1 < w then both (node x y) (node x (y + 1))
+    done
+  done;
+  let graph = Digraph.create ~nodes:(w * w) ~edges:(List.rev !edges) in
+  check_true "the grid is cyclic" (Digraph.dag graph = None);
+  let m = Digraph.edge_count graph in
+  let latencies =
+    Array.init m (fun e ->
+        Latency.affine ~slope:(1. +. float_of_int (e mod 3)) ~intercept:0.1)
+  in
+  let dst = node (w - 1) (w - 1) in
+  let commodities = [ Commodity.single ~src:0 ~dst ] in
+  let pool = Path_pool.create ~graph ~latencies ~commodities () in
+  let inst = Path_pool.instance pool in
+  let r = rng () in
+  let admitted = ref 0 in
+  for _ = 1 to 20 do
+    let lat = Array.init m (fun _ -> Rng.float r 1.) in
+    List.iter
+      (fun g ->
+        incr admitted;
+        match Dijkstra.shortest_path graph ~weights:lat ~src:0 ~dst with
+        | Some (p, cost) ->
+            check_true "Dijkstra's path" (Path.equal p g.Path_pool.path);
+            check_true "Dijkstra's cost bits"
+              (Int64.bits_of_float cost = Int64.bits_of_float g.Path_pool.cost)
+        | None -> Alcotest.fail "reachable")
+      (Path_pool.price pool inst ~edge_latencies:lat)
+  done;
+  check_true "some postings admit a column" (!admitted > 0);
+  check_raises_invalid "negative posted latency" (fun () ->
+      Path_pool.price pool inst
+        ~edge_latencies:(Array.init m (fun e -> if e = 3 then -1. else 1.)))
+
 let test_huge_tolerance_inert () =
   let w = workload 7 in
   let pool = pool_of ~tolerance:1e9 w in
@@ -496,6 +540,8 @@ let suite =
     prop_admissions_undercut;
     prop_price_pure;
     prop_growth_fixpoint;
+    case "cyclic grid prices with Dijkstra"
+      test_cyclic_grid_prices_with_dijkstra;
     case "huge tolerance admits nothing" test_huge_tolerance_inert;
     case "invalid tolerance rejected" test_bad_tolerance_rejected;
     case "posting arity mismatch rejected" test_arity_mismatch_rejected;

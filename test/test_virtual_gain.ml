@@ -2,6 +2,11 @@ open Helpers
 open Staleroute_wardrop
 open Staleroute_dynamics
 module Common = Staleroute_experiments.Common
+module Gen = Staleroute_graph.Gen
+module Digraph = Staleroute_graph.Digraph
+module Latency = Staleroute_latency.Latency
+module Rng = Staleroute_util.Rng
+module Vec = Staleroute_util.Vec
 
 let test_virtual_gain_formula_two_link () =
   (* V = sum_e l_e(fhat) (f_e - fhat_e) on two linear links. *)
@@ -66,6 +71,121 @@ let prop_gain_antisymmetry_of_potential =
         +. Virtual_gain.true_gain inst ~phase_start:b ~phase_end:a)
       < 1e-10)
 
+(* --- The fused phase accounting (Driver.run) --- *)
+
+(* The all-edge sums from before the edge rule, copied here as the
+   bitwise oracle. *)
+let all_edge_phi inst f =
+  let fe = Flow.edge_flows inst f in
+  let acc = ref 0. in
+  Array.iteri
+    (fun e load ->
+      acc := !acc +. Latency.integral (Instance.latency inst e) load)
+    fe;
+  !acc
+
+let all_edge_virtual_gain inst ~phase_start ~phase_end =
+  let fe_hat = Flow.edge_flows inst phase_start in
+  let fe = Flow.edge_flows inst phase_end in
+  let ell_hat = Flow.edge_latencies inst fe_hat in
+  let acc = ref 0. in
+  Array.iteri (fun e l -> acc := !acc +. (l *. (fe.(e) -. fe_hat.(e)))) ell_hat;
+  !acc
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let mixed_latency r =
+  match Rng.int r 5 with
+  | 0 -> Latency.affine ~slope:(Rng.float r 2.) ~intercept:(Rng.float r 0.3)
+  | 1 -> Latency.mm1 ~capacity:(1.5 +. Rng.float r 3.)
+  | 2 -> Latency.relu ~slope:(Rng.float r 3.) ~knee:(Rng.float r 1.)
+  | 3 -> Latency.poly [| Rng.float r 0.2; Rng.float r 1.; Rng.float r 1. |]
+  | _ ->
+      Latency.shift (Rng.float r 0.5)
+        (Latency.monomial ~coeff:(Rng.float r 2.) ~degree:(1 + Rng.int r 3))
+
+(* A layered DAG with mixed latency families under a column-generation
+   pool: [Full] enumerates every path, [Shortest] starts from one
+   column, and [grow] prices one random posting. *)
+let accounting_pool ~seed_mode seed =
+  let r = Rng.create ~seed () in
+  let st =
+    Gen.layered_skips ~skip_prob:0.2 ~rng:r ~layers:3 ~width:3 ~edge_prob:0.6
+  in
+  let latencies =
+    Array.init (Digraph.edge_count st.Gen.graph) (fun _ -> mixed_latency r)
+  in
+  let pool =
+    Path_pool.create ~seed:seed_mode ~graph:st.Gen.graph ~latencies
+      ~commodities:[ Commodity.single ~src:st.Gen.src ~dst:st.Gen.dst ]
+      ()
+  in
+  let grow inst =
+    let edge_latencies =
+      Array.map (fun l -> Latency.eval l (Rng.float r 1.)) latencies
+    in
+    match Path_pool.grow pool inst ~edge_latencies with
+    | Some (inst', _) -> inst'
+    | None -> inst
+  in
+  (r, Path_pool.instance pool, grow)
+
+(* A feasible flow with about half of its paths at exactly zero. *)
+let sparse_flow inst r =
+  let f = Flow.random inst r in
+  for ci = 0 to Instance.commodity_count inst - 1 do
+    Array.iteri
+      (fun j p -> if j > 0 && Rng.bool r then Vec.set f p 0.)
+      (Instance.paths_of_commodity inst ci)
+  done;
+  Flow.project inst f
+
+(* A run's phase chain: the ledger is opened on the seed instance, the
+   instance grows between phases and each start flow is the previous
+   end, zero-extended — as in Driver.run. *)
+let ledger_matches_all_edge_sums ~seed_mode seed =
+  let r, inst0, grow = accounting_pool ~seed_mode seed in
+  let f0 = sparse_flow inst0 r in
+  let ledger = Virtual_gain.ledger inst0 f0 in
+  let ok = ref true in
+  let inst = ref inst0 and start = ref f0 in
+  for _ = 1 to 4 do
+    inst := grow (grow !inst);
+    let inst = !inst in
+    let phase_start = Vec.extend !start ~dim:(Instance.path_count inst) in
+    let phase_end = sparse_flow inst r in
+    let phi, v = Virtual_gain.close_phase ledger inst phase_end in
+    ok :=
+      !ok
+      && same_bits phi (all_edge_phi inst phase_end)
+      && same_bits phi (Potential.phi inst phase_end)
+      && same_bits v (all_edge_virtual_gain inst ~phase_start ~phase_end)
+      && same_bits v (Virtual_gain.virtual_gain inst ~phase_start ~phase_end);
+    start := phase_end
+  done;
+  (!ok, !inst)
+
+let prop_ledger_bitwise =
+  qcheck ~count:150 "qcheck: fused Φ/V = all-edge sums, bit for bit"
+    QCheck2.Gen.(pair (int_range 0 1_000_000) bool)
+    (fun (seed, full) ->
+      fst
+        (ledger_matches_all_edge_sums
+           ~seed_mode:(if full then Path_pool.Full else Path_pool.Shortest)
+           seed))
+
+let test_ledger_skips_unused_edges () =
+  (* A grown pool that still leaves edges unused: the case the edge
+     rule exists for. *)
+  let ok, inst = ledger_matches_all_edge_sums ~seed_mode:Path_pool.Shortest 7 in
+  check_true "fused = all-edge sums" ok;
+  let used = Instance.edge_csr_offsets inst in
+  let unused = ref 0 in
+  for e = 0 to Array.length used - 2 do
+    if used.(e) = used.(e + 1) then incr unused
+  done;
+  check_true "some edges carry no path" (!unused > 0)
+
 let suite =
   [
     case "virtual gain formula" test_virtual_gain_formula_two_link;
@@ -74,4 +194,7 @@ let suite =
     case "error terms nonnegative" test_error_terms_nonnegative_for_monotone_latencies;
     prop_lemma3_random;
     prop_gain_antisymmetry_of_potential;
+    prop_ledger_bitwise;
+    case "ledger on a grown pool with unused edges"
+      test_ledger_skips_unused_edges;
   ]
