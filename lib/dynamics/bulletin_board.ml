@@ -115,10 +115,10 @@ let refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies =
       end
     done
   done;
+  Flow.path_latencies_into inst ~edge_latencies ~paths:d.dirty_path
+    ~count:d.n_dirty_paths path_latencies;
   for i = 0 to d.n_dirty_paths - 1 do
-    let p = d.dirty_path.(i) in
-    path_latencies.(p) <- Flow.path_latency inst ~edge_latencies p;
-    d.path_mark.(p) <- false
+    d.path_mark.(d.dirty_path.(i)) <- false
   done
 
 (* The changed set handed to [Rate_kernel.update]: paths whose posted
@@ -213,15 +213,19 @@ let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
               for i = 0 to d.n_dirty_edges - 1 do
                 let e = d.dirty_edge.(i) in
                 (* Same skip, same ascending-path accumulation order as
-                   [Flow.edge_flows]: identical bits. *)
+                   [Flow.edge_flows]: identical bits.  The load is
+                   parked in the latency slot, evaluated in place
+                   below. *)
                 let acc = ref 0. in
                 for k = t_off.(e) to t_off.(e + 1) - 1 do
                   let fp = Vec.unsafe_get flow (Array.unsafe_get t_paths k) in
                   if fp <> 0. then acc := !acc +. fp
                 done;
-                edge_latencies.(e) <- Latency.eval (Instance.latency inst e) !acc;
+                edge_latencies.(e) <- !acc;
                 d.edge_mark.(e) <- false
               done;
+              Latency.eval_into (Instance.latencies inst) ~edges:d.dirty_edge
+                ~count:d.n_dirty_edges edge_latencies edge_latencies;
               edge_latencies
         in
         let path_latencies = Array.copy prev.path_latencies in

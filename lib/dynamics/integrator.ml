@@ -49,21 +49,35 @@ let integrate_phase_into ?(probe = Probe.null) ?(t0 = 0.) scheme inst ~pool
             Vec.Pool.release pool k4;
             Vec.Pool.release pool tmp)
           (fun () ->
+            let n = Vec.dim f in
+            if Vec.dim tmp <> n then
+              invalid_arg "Integrator.integrate_phase: flow dimension mismatch";
+            (* tmp <- f + c·k in one pass: the bits of a blit then an
+               axpy. *)
+            let stage c k =
+              for i = 0 to n - 1 do
+                Vec.unsafe_set tmp i
+                  (Vec.unsafe_get f i +. (c *. Vec.unsafe_get k i))
+              done
+            in
             for _ = 1 to steps do
               deriv_into f ~dst:k1;
-              Vec.blit ~src:f ~dst:tmp;
-              Vec.axpy ~alpha:h2 ~x:k1 ~y:tmp;
+              stage h2 k1;
               deriv_into tmp ~dst:k2;
-              Vec.blit ~src:f ~dst:tmp;
-              Vec.axpy ~alpha:h2 ~x:k2 ~y:tmp;
+              stage h2 k2;
               deriv_into tmp ~dst:k3;
-              Vec.blit ~src:f ~dst:tmp;
-              Vec.axpy ~alpha:h ~x:k3 ~y:tmp;
+              stage h k3;
               deriv_into tmp ~dst:k4;
-              Vec.axpy ~alpha:h6 ~x:k1 ~y:f;
-              Vec.axpy ~alpha:h3 ~x:k2 ~y:f;
-              Vec.axpy ~alpha:h3 ~x:k3 ~y:f;
-              Vec.axpy ~alpha:h6 ~x:k4 ~y:f;
+              (* The four closing axpys, one pass, terms in the same
+                 order. *)
+              for i = 0 to n - 1 do
+                Vec.unsafe_set f i
+                  (Vec.unsafe_get f i
+                   +. (h6 *. Vec.unsafe_get k1 i)
+                   +. (h3 *. Vec.unsafe_get k2 i)
+                   +. (h3 *. Vec.unsafe_get k3 i)
+                   +. (h6 *. Vec.unsafe_get k4 i))
+              done;
               Flow.project_ inst f
             done)
   end

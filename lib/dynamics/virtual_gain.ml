@@ -27,50 +27,47 @@ let true_gain inst ~phase_start ~phase_end =
    edges some active path uses.  An unused edge has load 0 at both
    ends, so its V term ℓ_e(0)·(0 − 0) is ±0 (ℓ_e(0) is finite) and
    skipping it is bitwise-inert. *)
-type ledger = { mutable start : float array; mutable finish : float array }
+type ledger = {
+  mutable start : float array;
+  mutable finish : float array;
+  sums : float array;  (* Φ, V of the last [close_phase] *)
+}
 
 (* The loads of the used edges, each summed from 0. over its transpose
    row in ascending path index, skipping zero flows: per edge the same
    additions in the same order as [Flow.edge_flows], hence its bits.
-   Unused edges are never written and stay 0. *)
+   Unused edges are never written and stay 0; the used-edge index only
+   grows under [Instance.extend], so an edge written once stays used. *)
 let gather inst f loads =
   if Vec.dim f <> Instance.path_count inst then
     invalid_arg "Virtual_gain: flow dimension is not the instance's path count";
   let t_off = Instance.edge_csr_offsets inst in
   let t_paths = Instance.edge_csr_paths inst in
-  for e = 0 to Array.length loads - 1 do
-    if t_off.(e) < t_off.(e + 1) then begin
-      let acc = ref 0. in
-      for k = t_off.(e) to t_off.(e + 1) - 1 do
-        let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
-        if fp <> 0. then acc := !acc +. fp
-      done;
-      loads.(e) <- !acc
-    end
+  let used = Instance.used_edges inst in
+  for i = 0 to Array.length used - 1 do
+    let e = used.(i) in
+    let acc = ref 0. in
+    for k = t_off.(e) to t_off.(e + 1) - 1 do
+      let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
+      if fp <> 0. then acc := !acc +. fp
+    done;
+    loads.(e) <- !acc
   done
 
 let ledger inst f =
   let m = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
   let start = Array.make m 0. in
   gather inst f start;
-  { start; finish = Array.make m 0. }
+  { start; finish = Array.make m 0.; sums = Array.make 2 0. }
 
 let close_phase l inst f =
   gather inst f l.finish;
-  let used = Instance.edge_csr_offsets inst in
   let start = l.start and finish = l.finish in
-  let phi = ref 0. and v = ref 0. in
-  for e = 0 to Array.length finish - 1 do
-    if used.(e) < used.(e + 1) then begin
-      let lat = Instance.latency inst e in
-      let load = finish.(e) and hat = start.(e) in
-      phi := !phi +. Latency.integral lat load;
-      v := !v +. (Latency.eval lat hat *. (load -. hat))
-    end
-  done;
+  Latency.phase_sums (Instance.latencies inst)
+    ~edges:(Instance.used_edges inst) ~hat:start ~load:finish l.sums;
   l.start <- finish;
   l.finish <- start;
-  (!phi, !v)
+  (l.sums.(0), l.sums.(1))
 
 let virtual_gain inst ~phase_start ~phase_end =
   snd (close_phase (ledger inst phase_start) inst phase_end)

@@ -11,8 +11,8 @@
 open Staleroute_wardrop
 
 val virtual_gain : Instance.t -> phase_start:Flow.t -> phase_end:Flow.t -> float
-(** [V(f̂, f)], summed in edge order over the edges some path of the
-    instance uses, like {!Potential.phi}: an unused edge's term
+(** [V(f̂, f)], summed in edge order over {!Instance.used_edges}, like
+    {!Potential.phi}: an unused edge's term
     [ℓ_e(0)·(0 − 0)] is ±0 and cannot change the sum's bits. *)
 
 val error_terms : Instance.t -> phase_start:Flow.t -> phase_end:Flow.t -> float
@@ -36,7 +36,9 @@ val ledger : Instance.t -> Flow.t -> ledger
 val close_phase : ledger -> Instance.t -> Flow.t -> float * float
 (** [close_phase l inst f] ends the phase at [f] and returns
     [(Φ(f), V(f̂, f))] with [f̂] the held start: one gather of [f]'s
-    edge flows, then one edge-order loop over the used edges.  Bitwise
+    edge flows, then one loop over {!Instance.used_edges} (through
+    {!Staleroute_latency.Latency.phase_sums}, which allocates nothing
+    on affine latencies).  Bitwise
     equal to [(Potential.phi inst f, virtual_gain inst ~phase_start
     ~phase_end:f)] for any start flow whose edge flows [l] holds.  [f]'s
     edge flows become the next phase's start.  Raises [Invalid_argument]

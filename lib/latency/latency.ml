@@ -95,7 +95,11 @@ let shift c f =
 
 let add a b = Sum (a, b)
 
-let clamp01 x = Staleroute_util.Numerics.clamp ~lo:0. ~hi:1. x
+(* [Numerics.clamp ~lo:0. ~hi:1.] written out so that it inlines:
+   NaN stays NaN, and -0. and every negative load go to +0.  A call
+   into another library boxes its float argument and result. *)
+let[@inline] clamp01 x =
+  if x > 0. then if x > 1. then 1. else x else if x <= 0. then 0. else x
 
 let rec eval_raw f x =
   match f with
@@ -172,6 +176,53 @@ let rec integral_raw f x =
   | Sum (a, b) -> integral_raw a x +. integral_raw b x
 
 let integral f x = integral_raw f (clamp01 x)
+
+(* --- Batch entry points over an edge list ---
+
+   Loops over many edges live here, not in their callers: a call to
+   [eval]/[integral] from another library boxes the float it passes and
+   the one it returns (libraries are compiled separately, so nothing
+   inlines across them), which is two allocations per edge.  The
+   [Affine] arm below is [eval_raw]/[integral_raw]'s expression on the
+   same clamp, computed in place; every other family goes through
+   [eval]/[integral].  Sums run in list order from +0. *)
+
+let[@inline] eval_one f x =
+  match f with
+  | Affine { slope; intercept } -> (slope *. clamp01 x) +. intercept
+  | f -> eval f x
+
+let[@inline] integral_one f x =
+  match f with
+  | Affine { slope; intercept } ->
+      let x = clamp01 x in
+      (slope *. x *. x /. 2.) +. (intercept *. x)
+  | f -> integral f x
+
+let integral_sum ls ~edges loads =
+  let acc = ref 0. in
+  for i = 0 to Array.length edges - 1 do
+    let e = edges.(i) in
+    acc := !acc +. integral_one ls.(e) loads.(e)
+  done;
+  !acc
+
+let phase_sums ls ~edges ~hat ~load dst =
+  let phi = ref 0. and v = ref 0. in
+  for i = 0 to Array.length edges - 1 do
+    let e = edges.(i) in
+    let f = ls.(e) and x = load.(e) and x0 = hat.(e) in
+    phi := !phi +. integral_one f x;
+    v := !v +. (eval_one f x0 *. (x -. x0))
+  done;
+  dst.(0) <- !phi;
+  dst.(1) <- !v
+
+let eval_into ls ~edges ~count src dst =
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    dst.(e) <- eval_one ls.(e) src.(e)
+  done
 
 let rec deriv_raw f x =
   match f with

@@ -86,6 +86,40 @@ val elasticity_bound : t -> float
     degree; [infinity] when the function can be 0 at a point of
     positive slope (e.g. {!relu}). *)
 
+(** {1 Batch evaluation over an edge list}
+
+    Loops over many edges, for callers in other libraries: there, every
+    call to {!eval} or {!integral} boxes the float it passes and the one
+    it returns.  [ls] holds one latency per edge id and [edges] lists
+    edge ids (an edge-indexed array is read at each listed id).  Each
+    term has the bits of the corresponding {!eval}/{!integral} call,
+    and sums run in list order starting from [+0.]; the affine family
+    allocates nothing. *)
+
+val integral_sum : t array -> edges:int array -> float array -> float
+(** [integral_sum ls ~edges loads] is
+    [Σ_{e ∈ edges} integral ls.(e) loads.(e)]. *)
+
+val phase_sums :
+  t array ->
+  edges:int array ->
+  hat:float array ->
+  load:float array ->
+  float array ->
+  unit
+(** [phase_sums ls ~edges ~hat ~load dst] sets [dst.(0)] to
+    [Σ_e integral ls.(e) load.(e)] and [dst.(1)] to
+    [Σ_e eval ls.(e) hat.(e) *. (load.(e) -. hat.(e))], both over
+    [edges] — Φ at [load] and the virtual gain from [hat] to [load]. *)
+
+val eval_into :
+  t array -> edges:int array -> count:int -> float array -> float array -> unit
+(** [eval_into ls ~edges ~count src dst] sets
+    [dst.(e) <- eval ls.(e) src.(e)] for the first [count] ids of
+    [edges]; [src] and [dst] may be the same array. *)
+
+(** {1 Printing} *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 

@@ -152,16 +152,22 @@ let parse_number c =
   let is_float =
     String.exists (fun ch -> ch = '.' || ch = 'e' || ch = 'E') tok
   in
+  (* A literal beyond the float range would read as an infinity, which
+     the writer spells [inf]/[-inf]: no document we write holds one. *)
+  let finite x =
+    if Float.is_finite x then Float x
+    else parse_error start "number literal out of range"
+  in
   if is_float then
     match float_of_string_opt tok with
-    | Some x -> Float x
+    | Some x -> finite x
     | None -> parse_error start "bad float literal"
   else
     match int_of_string_opt tok with
     | Some i -> Int i
     | None -> (
         match float_of_string_opt tok with
-        | Some x -> Float x
+        | Some x -> finite x
         | None -> parse_error start "bad number literal")
 
 let rec parse_value c =

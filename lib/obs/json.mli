@@ -29,8 +29,10 @@ val to_string : t -> string
 (** Compact one-line rendering (no whitespace). *)
 
 val of_string : string -> (t, string) result
-(** Parse a single JSON value; trailing garbage is an error.  The
-    error string includes a character offset. *)
+(** Parse a single JSON value; trailing garbage is an error, and so is
+    a number literal beyond the float range (such as [1e400]: an
+    infinity is written [inf]/[-inf]).  The error string includes a
+    character offset. *)
 
 (** {1 Accessors} (shallow, total) *)
 

@@ -155,13 +155,23 @@ let edge_flows inst f =
 let edge_latencies inst fe =
   Array.mapi (fun e load -> Latency.eval (Instance.latency inst e) load) fe
 
-let path_latency inst ~edge_latencies p =
-  let offsets = Instance.csr_offsets inst and edges = Instance.csr_edges inst in
+let[@inline] path_sum ~offsets ~edges edge_latencies p =
   let acc = ref 0. in
   for k = offsets.(p) to offsets.(p + 1) - 1 do
     acc := !acc +. edge_latencies.(edges.(k))
   done;
   !acc
+
+let path_latency inst ~edge_latencies p =
+  path_sum ~offsets:(Instance.csr_offsets inst) ~edges:(Instance.csr_edges inst)
+    edge_latencies p
+
+let path_latencies_into inst ~edge_latencies ~paths ~count dst =
+  let offsets = Instance.csr_offsets inst and edges = Instance.csr_edges inst in
+  for i = 0 to count - 1 do
+    let p = paths.(i) in
+    dst.(p) <- path_sum ~offsets ~edges edge_latencies p
+  done
 
 let path_latencies inst f =
   let el = edge_latencies inst (edge_flows inst f) in

@@ -62,6 +62,19 @@ val edge_latencies : Instance.t -> float array -> float array
 val path_latency : Instance.t -> edge_latencies:float array -> int -> float
 (** Latency of one path given precomputed edge latencies. *)
 
+val path_latencies_into :
+  Instance.t ->
+  edge_latencies:float array ->
+  paths:int array ->
+  count:int ->
+  float array ->
+  unit
+(** [path_latencies_into inst ~edge_latencies ~paths ~count dst] sets
+    [dst.(p) <- path_latency inst ~edge_latencies p] for the first
+    [count] entries [p] of [paths], with the same bits and no
+    allocation (a loop of {!path_latency} calls from another library
+    boxes every result). *)
+
 val path_latencies : Instance.t -> t -> float array
 (** Latency of every path at flow [f] (fresh information). *)
 

@@ -14,6 +14,7 @@ type t = {
   csr_edges : int array;
   edge_csr_offsets : int array;
   edge_csr_paths : int array;
+  used_edges : int array;
   max_path_length : int;
   beta : float;
   ell_max : float;
@@ -40,18 +41,26 @@ let () =
    ([Bulletin_board.repost]) must accumulate path contributions in the
    same p = 0,1,2,... order as the full [Flow.edge_flows] scan to stay
    bitwise identical to it.  The counting sort below visits paths in
-   ascending order, so rows come out sorted by construction — and
-   because [extend] appends paths at the end of the global index,
-   rebuilding the transpose after growth reproduces every old row as a
-   prefix with the new paths appended. *)
+   ascending order, so rows come out sorted by construction.  The
+   used-edge index (ascending ids of the non-empty rows) is counted in
+   the counting pass and filled in the prefix-sum pass: no extra pass
+   over the edges. *)
 let transpose_csr ~edge_count ~path_count ~csr_offsets ~csr_edges =
   let offsets = Array.make (edge_count + 1) 0 in
   let nnz = csr_offsets.(path_count) in
+  let n_used = ref 0 in
   for k = 0 to nnz - 1 do
     let e = csr_edges.(k) in
+    if offsets.(e + 1) = 0 then incr n_used;
     offsets.(e + 1) <- offsets.(e + 1) + 1
   done;
+  let used = Array.make !n_used 0 in
+  let u = ref 0 in
   for e = 0 to edge_count - 1 do
+    if offsets.(e + 1) > 0 then begin
+      used.(!u) <- e;
+      incr u
+    end;
     offsets.(e + 1) <- offsets.(e + 1) + offsets.(e)
   done;
   let paths = Array.make (max 1 nnz) 0 in
@@ -63,7 +72,82 @@ let transpose_csr ~edge_count ~path_count ~csr_offsets ~csr_edges =
       cursor.(e) <- cursor.(e) + 1
     done
   done;
-  (offsets, paths)
+  (offsets, paths, used)
+
+(* [transpose_csr] of a grown CSR whose paths [n ..] are new, from [t]'s
+   transpose by a linear merge.  The new incidences, sorted by (edge,
+   path), are spliced in after the old entries of their rows — new
+   paths carry the largest indices, so every row stays ascending and
+   the arrays equal a from-scratch build.  Old rows move by block
+   copies; the offsets take one integer pass over the edges. *)
+let merge_transpose t ~n ~csr_offsets ~csr_edges =
+  let n' = Array.length csr_offsets - 1 in
+  let span = n' - n in
+  let k0 = csr_offsets.(n) in
+  let added = csr_offsets.(n') - k0 in
+  let keys = Array.make added 0 in
+  for p = n to n' - 1 do
+    for k = csr_offsets.(p) to csr_offsets.(p + 1) - 1 do
+      keys.(k - k0) <- (csr_edges.(k) * span) + (p - n)
+    done
+  done;
+  Array.sort Int.compare keys;
+  let old_off = t.edge_csr_offsets and old_paths = t.edge_csr_paths in
+  let edge_count = Array.length old_off - 1 in
+  let old_nnz = old_off.(edge_count) in
+  let edge_of i = if i < added then keys.(i) / span else max_int in
+  let offsets = Array.make (edge_count + 1) 0 in
+  let seen = ref 0 and next = ref (edge_of 0) in
+  for e = 0 to edge_count - 1 do
+    while !next = e do
+      incr seen;
+      next := edge_of !seen
+    done;
+    offsets.(e + 1) <- old_off.(e + 1) + !seen
+  done;
+  let paths = Array.make (max 1 (old_nnz + added)) 0 in
+  (* The edges whose row was empty are the used-edge index's new
+     entries, met in ascending order. *)
+  let fresh = Array.make added 0 and n_fresh = ref 0 in
+  let src = ref 0 and dst = ref 0 and i = ref 0 in
+  while !i < added do
+    let e = edge_of !i in
+    let upto = old_off.(e + 1) in
+    if old_off.(e) = upto then begin
+      fresh.(!n_fresh) <- e;
+      incr n_fresh
+    end;
+    Array.blit old_paths !src paths !dst (upto - !src);
+    dst := !dst + (upto - !src);
+    src := upto;
+    while edge_of !i = e do
+      paths.(!dst) <- n + (keys.(!i) mod span);
+      incr dst;
+      incr i
+    done
+  done;
+  Array.blit old_paths !src paths !dst (old_nnz - !src);
+  let used =
+    if !n_fresh = 0 then t.used_edges
+    else begin
+      let old_used = t.used_edges in
+      let n_old = Array.length old_used in
+      let used = Array.make (n_old + !n_fresh) 0 in
+      let j = ref 0 and k = ref 0 in
+      for u = 0 to Array.length used - 1 do
+        if !k < !n_fresh && (!j = n_old || fresh.(!k) < old_used.(!j)) then begin
+          used.(u) <- fresh.(!k);
+          incr k
+        end
+        else begin
+          used.(u) <- old_used.(!j);
+          incr j
+        end
+      done;
+      used
+    end
+  in
+  (offsets, paths, used)
 
 (* Shared table builder: everything an instance derives from an explicit
    per-commodity path-set assignment.  [create] feeds it the full
@@ -110,7 +194,7 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
     (fun p edges ->
       Array.iteri (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e) edges)
     path_edges;
-  let edge_csr_offsets, edge_csr_paths =
+  let edge_csr_offsets, edge_csr_paths, used_edges =
     transpose_csr ~edge_count:(Digraph.edge_count graph) ~path_count
       ~csr_offsets ~csr_edges
   in
@@ -152,6 +236,7 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
     csr_edges;
     edge_csr_offsets;
     edge_csr_paths;
+    used_edges;
     max_path_length;
     beta;
     ell_max;
@@ -304,12 +389,8 @@ let extend t ~paths =
         (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e)
         path_edges.(p)
     done;
-    (* Rebuilding the transpose from the grown CSR is the append: new
-       paths carry the largest indices, so the counting sort reproduces
-       every old edge row as a prefix and slots the new paths after. *)
-    let edge_csr_offsets, edge_csr_paths =
-      transpose_csr ~edge_count:(Digraph.edge_count t.graph)
-        ~path_count:n' ~csr_offsets ~csr_edges
+    let edge_csr_offsets, edge_csr_paths, used_edges =
+      merge_transpose t ~n ~csr_offsets ~csr_edges
     in
     let max_path_length =
       Array.fold_left
@@ -340,12 +421,15 @@ let extend t ~paths =
       csr_edges;
       edge_csr_offsets;
       edge_csr_paths;
+      used_edges;
       max_path_length;
       ell_max;
     }
   end
 
 let graph t = t.graph
+
+let latencies t = t.latencies
 
 let latency t e =
   if e < 0 || e >= Array.length t.latencies then
@@ -390,6 +474,7 @@ let csr_offsets t = t.csr_offsets
 let csr_edges t = t.csr_edges
 let edge_csr_offsets t = t.edge_csr_offsets
 let edge_csr_paths t = t.edge_csr_paths
+let used_edges t = t.used_edges
 
 let demand t i = (commodity t i).Commodity.demand
 let max_path_length t = t.max_path_length

@@ -60,7 +60,13 @@ val extend : t -> paths:(int * Path.t) list -> t
     [paths_of_commodity] arrays with [t] (boards and instances are
     immutable, so growth copies only what it touches).  The structural
     constants [max_path_length] and [ell_max] are updated; [beta] only
-    depends on the latencies and is unchanged.  Raises
+    depends on the latencies and is unchanged.  The edge→path transpose
+    and the {!used_edges} index are not rebuilt: the new columns'
+    incidences, sorted by (edge, path), are merged into [t]'s arrays,
+    which gives exactly the arrays a from-scratch {!of_paths} build
+    over the same path set would.  Its cost is one integer pass over
+    the edge offsets plus block copies of the incidences, not a
+    counting sort over all of them.  Raises
     [Invalid_argument] on a commodity index out of range, a path that
     does not connect its commodity, or a duplicate (already active or
     repeated in [paths]).  [extend t ~paths:[]] is [t] itself. *)
@@ -70,6 +76,11 @@ val extend : t -> paths:(int * Path.t) list -> t
 val graph : t -> Digraph.t
 val latency : t -> int -> Staleroute_latency.Latency.t
 (** Latency function of an edge id. *)
+
+val latencies : t -> Staleroute_latency.Latency.t array
+(** The latency function of every edge, by edge id — what the batch
+    entries of {!Staleroute_latency.Latency} read (shared array — do not
+    mutate). *)
 
 val commodity_count : t -> int
 val commodity : t -> int -> Commodity.t
@@ -117,6 +128,17 @@ val edge_csr_paths : t -> int array
     [Bulletin_board.repost] bitwise identical to a fresh post.
     {!extend} preserves every old row as a prefix (new paths carry the
     largest indices).  Shared array — do not mutate. *)
+
+val used_edges : t -> int array
+(** The used-edge index: the ids of the edges some active path uses —
+    the edges with a non-empty {!edge_csr_offsets} row — in ascending
+    order.  Only these edges can carry load, so per-phase sums over
+    edge flows (Φ, the virtual gain, the phase ledger's gather) loop
+    over this index, not over all edges: an unused edge sits at load 0,
+    where every latency's integral is ±0 and its virtual-gain term is
+    ±0, so skipping it cannot change a sum that starts at [+0.].  Built
+    in the transpose's counting pass; {!extend} merges the newly used
+    edges in.  Shared array — do not mutate. *)
 
 val demand : t -> int -> float
 (** Demand of a commodity. *)

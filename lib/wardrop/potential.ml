@@ -5,13 +5,10 @@ module Latency = Staleroute_latency.Latency
    term cannot move the sum (which starts at +0. and so is never −0.):
    skipping it is bitwise-inert. *)
 let phi_of_edge_flows inst fe =
-  let used = Instance.edge_csr_offsets inst in
-  let acc = ref 0. in
-  for e = 0 to Array.length fe - 1 do
-    if used.(e) < used.(e + 1) then
-      acc := !acc +. Latency.integral (Instance.latency inst e) fe.(e)
-  done;
-  !acc
+  if Array.length fe <> Staleroute_graph.Digraph.edge_count (Instance.graph inst)
+  then invalid_arg "Potential.phi_of_edge_flows: one load per edge required";
+  Latency.integral_sum (Instance.latencies inst)
+    ~edges:(Instance.used_edges inst) fe
 
 let phi inst f = phi_of_edge_flows inst (Flow.edge_flows inst f)
 

@@ -12,10 +12,10 @@ val phi : Instance.t -> Flow.t -> float
 
 val phi_of_edge_flows : Instance.t -> float array -> float
 (** Same, from precomputed edge loads ({!Flow.edge_flows}).  The sum
-    runs in edge order over the edges some path of the instance uses
-    (a non-empty {!Instance.edge_csr_offsets} row): every other edge
-    carries no load, and its term [∫₀⁰ ℓ_e = ±0] cannot change the
-    sum's bits. *)
+    runs in edge order over {!Instance.used_edges}, the edges some path
+    of the instance uses: every other edge carries no load, and its
+    term [∫₀⁰ ℓ_e = ±0] cannot change the sum's bits.  Raises
+    [Invalid_argument] when [fe] does not hold one load per edge. *)
 
 val upper_bound : Instance.t -> float
 (** [Φ(f) <= ell_max] for every feasible [f] (paper, proof of Thm 6);

@@ -5,6 +5,10 @@ let close ?(eps = 1e-9) () = Alcotest.float eps
 let check_close ?(eps = 1e-9) msg expected actual =
   Alcotest.check (close ~eps ()) msg expected actual
 
+(* Float equality bit for bit: tells -0. from 0. and equates a NaN with
+   itself. *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
 let check_true msg b = Alcotest.check Alcotest.bool msg true b
 let check_false msg b = Alcotest.check Alcotest.bool msg false b
 let check_int msg = Alcotest.check Alcotest.int msg
@@ -26,3 +30,16 @@ let rng ?(seed = 12345) () = Staleroute_util.Rng.create ~seed ()
 
 (* Flow/vector literals for tests: a [Vec.t] from a float-array literal. *)
 let vec = Staleroute_util.Vec.of_array
+
+(* Re-create [g] with about a quarter of its edges doubled and all edge
+   ids shuffled: parallel edges, and slot order unrelated to layers. *)
+let with_parallel_edges r g =
+  let module D = Staleroute_graph.Digraph in
+  let module Rng = Staleroute_util.Rng in
+  let edges =
+    Array.to_list (Array.map (fun e -> (e.D.src, e.D.dst)) (D.edges g))
+  in
+  let doubled = List.filter (fun _ -> Rng.int r 4 = 0) edges in
+  let all = Array.of_list (edges @ doubled) in
+  Rng.shuffle r all;
+  D.create ~nodes:(D.node_count g) ~edges:(Array.to_list all)

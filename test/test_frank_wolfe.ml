@@ -124,8 +124,6 @@ module Rng = Staleroute_util.Rng
 module Gen = Staleroute_graph.Gen
 module Digraph = Staleroute_graph.Digraph
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let three_commodities =
   [
     Commodity.make ~src:0 ~dst:15 ~demand:0.5;

@@ -222,6 +222,172 @@ let test_needle_constants () =
   check_close "lmax from the bad links" 2. (Instance.ell_max inst);
   check_int "D = 1 on parallel links" 1 (Instance.max_path_length inst)
 
+
+(* --- extend chains against a from-scratch build --- *)
+
+module Rng = Staleroute_util.Rng
+
+(* A small layered DAG, about a quarter of its edges doubled. *)
+let doubled_dag r =
+  let st =
+    Gen.layered_skips ~skip_prob:0.3 ~rng:r ~layers:(2 + Rng.int r 3)
+      ~width:(2 + Rng.int r 2) ~edge_prob:0.6
+  in
+  (with_parallel_edges r st.Gen.graph, st)
+
+let latency_of r =
+  match Rng.int r 3 with
+  | 0 -> L.affine ~slope:(Rng.float r 2.) ~intercept:(Rng.float r 0.3)
+  | 1 -> L.mm1 ~capacity:(1.5 +. Rng.float r 3.)
+  | _ -> L.shift (Rng.float r 0.5) (L.monomial ~coeff:1. ~degree:2)
+
+(* Commodities: the DAG's source–sink pair, then up to two more pairs,
+   each with at least one and at most 1000 simple paths; each keeps a
+   random non-empty subset of its paths, in random order. *)
+let draw_path_sets r graph st =
+  let n = Digraph.node_count graph in
+  let paths_of (s, t) =
+    if s = t then [||]
+    else
+      match Path_enum.all_simple_paths ~max_paths:1000 graph ~src:s ~dst:t with
+      | ps -> Array.of_list ps
+      | exception Path_enum.Too_many_paths _ -> [||]
+  in
+  let candidates =
+    ((st.Gen.src, st.Gen.dst) :: List.init 6 (fun _ -> (Rng.int r n, Rng.int r n)))
+    |> List.map (fun pair -> (pair, paths_of pair))
+    |> List.filter (fun (_, ps) -> ps <> [||])
+  in
+  let keep = 1 + Rng.int r 3 in
+  List.filteri (fun i _ -> i < keep) candidates
+  |> List.map (fun (pair, ps) ->
+         Rng.shuffle r ps;
+         (pair, Array.sub ps 0 (1 + Rng.int r (Array.length ps))))
+
+let row offsets values i =
+  Array.sub values offsets.(i) (offsets.(i + 1) - offsets.(i))
+
+let prop_extend_chain_matches_of_paths =
+  qcheck ~count:300 "qcheck: extend chain = of_paths on the same path set"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let r = Rng.create ~seed () in
+      let graph, st = doubled_dag r in
+      let latencies =
+        Array.init (Digraph.edge_count graph) (fun _ -> latency_of r)
+      in
+      let sets = Array.of_list (draw_path_sets r graph st) in
+      let nc = Array.length sets in
+      QCheck2.assume (nc > 0);
+      let commodities =
+        Array.to_list
+          (Array.map
+             (fun ((src, dst), _) ->
+               Commodity.make ~src ~dst ~demand:(1. /. float_of_int nc))
+             sets)
+      in
+      (* Seed with each commodity's first path; the rest arrive
+         interleaved across commodities in steps of 1 to 3 columns. *)
+      let seed_inst =
+        Instance.of_paths ~graph ~latencies ~commodities
+          ~paths:(Array.map (fun (_, ps) -> [ ps.(0) ]) sets)
+          ()
+      in
+      let pending =
+        Array.concat
+          (Array.to_list
+             (Array.mapi
+                (fun ci (_, ps) ->
+                  Array.map (fun p -> (ci, p))
+                    (Array.sub ps 1 (Array.length ps - 1)))
+                sets))
+      in
+      Rng.shuffle r pending;
+      let chained = ref seed_inst and i = ref 0 in
+      while !i < Array.length pending do
+        let k = min (1 + Rng.int r 3) (Array.length pending - !i) in
+        chained :=
+          Instance.extend !chained
+            ~paths:(Array.to_list (Array.sub pending !i k));
+        i := !i + k
+      done;
+      let chained = !chained in
+      (* The reference lists each commodity's paths in the order the
+         chain admitted them. *)
+      let reference =
+        Instance.of_paths ~graph ~latencies ~commodities
+          ~paths:
+            (Array.init nc (fun ci ->
+                 Array.to_list
+                   (Array.map (Instance.path chained)
+                      (Instance.paths_of_commodity chained ci))))
+          ()
+      in
+      (* The two global indices differ only by a relabelling: a path's
+         commodity and its position there. *)
+      let relabel q =
+        (Instance.paths_of_commodity reference
+           (Instance.commodity_of_path chained q)).(Instance.local_index_of_path
+                                                      chained q)
+      in
+      let n = Instance.path_count chained in
+      let ec = Digraph.edge_count graph in
+      let c_off = Instance.csr_offsets chained
+      and c_edges = Instance.csr_edges chained in
+      let r_off = Instance.csr_offsets reference
+      and r_edges = Instance.csr_edges reference in
+      let csr_rows_agree =
+        List.for_all
+          (fun q -> row c_off c_edges q = row r_off r_edges (relabel q))
+          (List.init n Fun.id)
+      in
+      let t_off = Instance.edge_csr_offsets chained
+      and t_paths = Instance.edge_csr_paths chained in
+      let rt_off = Instance.edge_csr_offsets reference
+      and rt_paths = Instance.edge_csr_paths reference in
+      (* From scratch in the chain's own index: edge rows list the
+         paths through the edge in ascending index, with the padding
+         cell an empty incidence gets. *)
+      let naive_rows =
+        Array.init ec (fun e ->
+            List.concat_map
+              (fun q ->
+                List.filter_map
+                  (fun e' -> if e' = e then Some q else None)
+                  (Array.to_list (row c_off c_edges q)))
+              (List.init n Fun.id))
+      in
+      let naive_paths = Array.of_list (List.concat (Array.to_list naive_rows)) in
+      let naive_paths = if naive_paths = [||] then [| 0 |] else naive_paths in
+      let transpose_agrees =
+        t_off = rt_off
+        && t_paths = naive_paths
+        && List.for_all
+             (fun e ->
+               let mapped = Array.map relabel (row t_off t_paths e) in
+               Array.sort compare mapped;
+               mapped = row rt_off rt_paths e)
+             (List.init ec Fun.id)
+      in
+      let used = Instance.used_edges chained in
+      let used_agrees =
+        used = Instance.used_edges reference
+        && used
+           = Array.of_list
+               (List.filter (fun e -> t_off.(e) < t_off.(e + 1))
+                  (List.init ec Fun.id))
+      in
+      (* One commodity: the two indices coincide, so every array is
+         equal outright. *)
+      let single_exact =
+        nc > 1
+        || (c_off = r_off && c_edges = r_edges && t_paths = rt_paths)
+      in
+      csr_rows_agree && Array.length c_edges = Array.length r_edges
+      && transpose_agrees && used_agrees && single_exact
+      && Instance.max_path_length chained = Instance.max_path_length reference
+      && same_bits (Instance.ell_max chained) (Instance.ell_max reference))
+
 let suite =
   [
     case "commodity validation" test_commodity_validation;
@@ -239,4 +405,5 @@ let suite =
     case "local index table" test_local_index_inverts_paths_of_commodity;
     case "csr incidence" test_csr_incidence_matches_path_edges;
     case "needle constants" test_needle_constants;
+    prop_extend_chain_matches_of_paths;
   ]

@@ -271,6 +271,76 @@ let test_non_finite_parameters_rejected () =
   check_raises_invalid "scale inf" (fun () -> L.scale infinity (L.const 1.));
   check_raises_invalid "shift inf" (fun () -> L.shift infinity (L.const 1.))
 
+let special_loads =
+  [| -0.; 0.; -1e-17; 1e-300; 1.; 1. +. epsilon_float; 1.5; -3.; 1e300;
+     -1e300; infinity; neg_infinity; nan |]
+
+(* The batch entries' clamp must be [Numerics.clamp ~lo:0. ~hi:1.] bit
+   for bit, -0. and NaN included: [integral (const 1.) x] is
+   [1. *. clamp x]. *)
+let test_clamp_is_numerics_clamp () =
+  Array.iter
+    (fun x ->
+      check_true
+        (Printf.sprintf "clamp %h" x)
+        (same_bits (L.integral (L.const 1.) x) (N.clamp ~lo:0. ~hi:1. x)))
+    special_loads
+
+let prop_batch_entries_bitwise =
+  qcheck ~count:300 "qcheck: batch entries = eval/integral, bit for bit"
+    QCheck2.Gen.(
+      let c = float_range 0. 5. in
+      (* Not NaN: which NaN payload a sum keeps depends on the operand
+         order the compiler picks, which is no property of the code. *)
+      let load =
+        oneof
+          [
+            oneofa (Array.sub special_loads 0 (Array.length special_loads - 1));
+            float_range (-0.5) 1.5;
+            float_range 0. 1.;
+          ]
+      in
+      triple
+        (pair (triple c c c)
+           (triple (float_range 0. 1.) (int_range 1 6) (float_range 1.01 10.)))
+        (pair (array_size (return 24) load) (array_size (return 24) load))
+        (int_range 0 1_000_000))
+    (fun (((c0, c1, c2), (knee, degree, cap)), (loads, hats), seed) ->
+      let fams =
+        Array.of_list (List.map snd (families (c0, c1, c2, knee, degree, cap)))
+      in
+      (* 24 edges, every family at least twice, affine edges common. *)
+      let ls = Array.init 24 (fun e -> fams.(e mod Array.length fams)) in
+      let r = Staleroute_util.Rng.create ~seed () in
+      let edges = Array.init 30 (fun _ -> Staleroute_util.Rng.int r 24) in
+      let phi = ref 0. and v = ref 0. in
+      Array.iter
+        (fun e ->
+          phi := !phi +. L.integral ls.(e) loads.(e);
+          v := !v +. (L.eval ls.(e) hats.(e) *. (loads.(e) -. hats.(e))))
+        edges;
+      let sums = Array.make 2 0. in
+      L.phase_sums ls ~edges ~hat:hats ~load:loads sums;
+      let distinct = Array.init 24 Fun.id in
+      Staleroute_util.Rng.shuffle r distinct;
+      let count = Staleroute_util.Rng.int r 25 in
+      let dst = Array.copy hats in
+      L.eval_into ls ~edges:distinct ~count loads dst;
+      let in_place = Array.copy loads in
+      L.eval_into ls ~edges:distinct ~count in_place in_place;
+      let evals_agree = ref true in
+      Array.iteri
+        (fun i e ->
+          let expect, keep =
+            if i < count then (L.eval ls.(e) loads.(e), L.eval ls.(e) loads.(e))
+            else (hats.(e), loads.(e))
+          in
+          if not (same_bits dst.(e) expect && same_bits in_place.(e) keep) then
+            evals_agree := false)
+        distinct;
+      same_bits (L.integral_sum ls ~edges loads) !phi
+      && same_bits sums.(0) !phi && same_bits sums.(1) !v && !evals_agree)
+
 let suite =
   [
     case "known evals" test_eval_known_values;
@@ -292,4 +362,6 @@ let suite =
     prop_scale_linearity;
     prop_inert_at_zero_load;
     case "non-finite parameters rejected" test_non_finite_parameters_rejected;
+    case "clamp is Numerics.clamp" test_clamp_is_numerics_clamp;
+    prop_batch_entries_bitwise;
   ]

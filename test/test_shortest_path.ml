@@ -6,25 +6,11 @@ open Helpers
 open Staleroute_graph
 module Rng = Staleroute_util.Rng
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let same_answer a b =
   match (a, b) with
   | None, None -> true
   | Some (p, c), Some (q, d) -> Path.equal p q && same_bits c d
   | _ -> false
-
-(* Re-create [g] with about a quarter of its edges doubled and all edge
-   ids shuffled: parallel edges, and slot order unrelated to layers. *)
-let with_parallel_edges r g =
-  let edges =
-    Array.to_list
-      (Array.map (fun e -> (e.Digraph.src, e.Digraph.dst)) (Digraph.edges g))
-  in
-  let doubled = List.filter (fun _ -> Rng.int r 4 = 0) edges in
-  let all = Array.of_list (edges @ doubled) in
-  Rng.shuffle r all;
-  Digraph.create ~nodes:(Digraph.node_count g) ~edges:(Array.to_list all)
 
 type draw = Random | Ties | Dead
 

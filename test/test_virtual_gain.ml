@@ -92,8 +92,6 @@ let all_edge_virtual_gain inst ~phase_start ~phase_end =
   Array.iteri (fun e l -> acc := !acc +. (l *. (fe.(e) -. fe_hat.(e)))) ell_hat;
   !acc
 
-let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
 let mixed_latency r =
   match Rng.int r 5 with
   | 0 -> Latency.affine ~slope:(Rng.float r 2.) ~intercept:(Rng.float r 0.3)
@@ -186,6 +184,51 @@ let test_ledger_skips_unused_edges () =
   done;
   check_true "some edges carry no path" (!unused > 0)
 
+(* Minor words per call of [close_phase] and of a fully dirty
+   [Bulletin_board.repost] on [m] affine parallel links, where every
+   edge is used.  Arrays of more than 256 words are allocated on the
+   major heap, so at both sizes below only per-edge boxing could make
+   the count grow with [m]. *)
+let words_per_call m =
+  let inst = Common.parallel m in
+  let f = Flow.uniform inst in
+  let g = Vec.init m (fun p -> if p mod 2 = 0 then 2. /. float_of_int m else 0.) in
+  let flow i = if i mod 2 = 0 then f else g in
+  let calls = 40 in
+  let measure step =
+    step 0;
+    let before = Gc.minor_words () in
+    for i = 1 to calls do
+      step i
+    done;
+    (Gc.minor_words () -. before) /. float_of_int calls
+  in
+  let l = Virtual_gain.ledger inst f in
+  let close =
+    measure (fun i -> ignore (Sys.opaque_identity (Virtual_gain.close_phase l inst (flow i))))
+  in
+  let delta = Bulletin_board.delta () in
+  let board = ref (Bulletin_board.post inst ~time:0. f) in
+  let repost =
+    measure (fun i ->
+        board := Bulletin_board.repost ~delta inst ~prev:!board ~time:0. (flow i);
+        if i > 0 && Bulletin_board.dirty_paths delta <> m then
+          Alcotest.fail "repost is not fully dirty")
+  in
+  (close, repost)
+
+let test_accounting_words_flat_in_used_edges () =
+  let close_small, repost_small = words_per_call 300 in
+  let close_big, repost_big = words_per_call 1200 in
+  check_true
+    (Printf.sprintf "close_phase %.1f words at 300 edges, %.1f at 1200"
+       close_small close_big)
+    (close_big <= close_small);
+  check_true
+    (Printf.sprintf "repost %.1f words at 300 edges, %.1f at 1200"
+       repost_small repost_big)
+    (repost_big <= repost_small)
+
 let suite =
   [
     case "virtual gain formula" test_virtual_gain_formula_two_link;
@@ -197,4 +240,6 @@ let suite =
     prop_ledger_bitwise;
     case "ledger on a grown pool with unused edges"
       test_ledger_skips_unused_edges;
+    case "accounting and repost words flat in used edges"
+      test_accounting_words_flat_in_used_edges;
   ]
