@@ -17,8 +17,8 @@
     ]}
 
     The handle is an immediate value, so a disabled recorder keeps the
-    0-allocation contracts of the hot paths intact ([@perf-smoke] /
-    [@obs-smoke] enforce this).  Spans nest: a span entered while
+    0-allocation contracts of the hot paths intact (the test suite's
+    allocation cases enforce this).  Spans nest: a span entered while
     another is open is its child, and the parent's self time excludes
     the child's total.  {!exit} must be called in LIFO order with the
     handle {!enter} returned.

@@ -110,29 +110,36 @@ let field name conv json =
 
 let ( let* ) = Result.bind
 
+(* Drivers stamp events with finite model times; a non-finite one is
+   damage, refused like a missing field. *)
+let time_field json =
+  let* t = field "time" Json.to_float json in
+  if Float.is_finite t then Ok t
+  else Error (Printf.sprintf "non-finite event time %s" (Json.float_repr t))
+
 let event_of_json json =
   let* kind = field "ev" Json.to_str json in
   match kind with
   | "phase_start" ->
       let* index = field "index" Json.to_int json in
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* potential = field "phi" Json.to_float json in
       Ok (Probe.Phase_start { index; time; potential })
   | "phase_end" ->
       let* index = field "index" Json.to_int json in
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* potential = field "phi" Json.to_float json in
       let* virtual_gain = field "vgain" Json.to_float json in
       let* delta_phi = field "dphi" Json.to_float json in
       Ok (Probe.Phase_end { index; time; potential; virtual_gain; delta_phi })
   | "board_repost" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       Ok (Probe.Board_repost { time })
   | "kernel_rebuild" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       Ok (Probe.Kernel_rebuild { time })
   | "step_batch" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* scheme = field "scheme" Json.to_str json in
       let* steps = field "steps" Json.to_int json in
       let* tau = field "tau" Json.to_float json in
@@ -142,14 +149,14 @@ let event_of_json json =
       let* potential = field "phi" Json.to_float json in
       Ok (Probe.Round { index; potential })
   | "agent_wake" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* agent = field "agent" Json.to_int json in
       let* from_path = field "from" Json.to_int json in
       let* to_path = field "to" Json.to_int json in
       let* migrated = field "migrated" Json.to_bool json in
       Ok (Probe.Agent_wake { time; agent; from_path; to_path; migrated })
   | "path_growth" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* index = field "index" Json.to_int json in
       let* commodity = field "commodity" Json.to_int json in
       let* cost = field "cost" Json.to_float json in
@@ -159,29 +166,29 @@ let event_of_json json =
         (Probe.Path_growth
            { time; index; commodity; cost; incumbent; path_count })
   | "fault" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* index = field "index" Json.to_int json in
       let* kind = field "kind" Json.to_str json in
       let* arg = field "arg" Json.to_float json in
       Ok (Probe.Fault_injected { time; index; kind; arg })
   | "edge_down" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* index = field "index" Json.to_int json in
       let* edge = field "edge" Json.to_int json in
       Ok (Probe.Edge_down { time; index; edge })
   | "edge_up" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* index = field "index" Json.to_int json in
       let* edge = field "edge" Json.to_int json in
       Ok (Probe.Edge_up { time; index; edge })
   | "guard_trip" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* index = field "index" Json.to_int json in
       let* action = field "action" Json.to_str json in
       let* worst = field "worst" Json.to_float json in
       Ok (Probe.Guard_trip { time; index; action; worst })
   | "note" ->
-      let* time = field "time" Json.to_float json in
+      let* time = time_field json in
       let* name = field "name" Json.to_str json in
       let* value = field "value" Json.to_float json in
       Ok (Probe.Note { time; name; value })

@@ -9,7 +9,8 @@ val event_to_json : Probe.event -> Json.t
 (** One-line object; the first field is always ["ev"] (the kind tag). *)
 
 val event_of_json : Json.t -> (Probe.event, string) result
-(** Inverse of {!event_to_json}; tolerates extra fields. *)
+(** Inverse of {!event_to_json}; tolerates extra fields and refuses a
+    non-finite ["time"]. *)
 
 val events_to_string : Probe.event array -> string
 (** JSONL: one event per line, each line terminated by ['\n']. *)

@@ -43,3 +43,37 @@ let with_parallel_edges r g =
   let all = Array.of_list (edges @ doubled) in
   Rng.shuffle r all;
   D.create ~nodes:(D.node_count g) ~edges:(Array.to_list all)
+
+(* Minor words per call of [f], measured by differencing two batch
+   sizes so per-measurement setup (including the boxed float
+   [Gc.minor_words] itself returns) cancels out.  Only meaningful under
+   the native compiler: bytecode boxes every float temporary. *)
+let words_per_call f =
+  let measure n =
+    f ();
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  (measure 1001 -. measure 1) /. 1000.
+
+(* Two commodities splitting the unit demand over the same [m] affine
+   parallel links: [2 * m] paths, link [j] with slope [1 + j mod 3] and
+   intercept [0.3 j / m]. *)
+let multicommodity_parallel m =
+  let open Staleroute_wardrop in
+  let st = Staleroute_graph.Gen.parallel_links m in
+  let latencies =
+    Array.init m (fun j ->
+        Staleroute_latency.Latency.affine
+          ~slope:(float_of_int (1 + (j mod 3)))
+          ~intercept:(0.3 *. float_of_int j /. float_of_int m))
+  in
+  Instance.create ~graph:st.Staleroute_graph.Gen.graph ~latencies
+    ~commodities:
+      (List.init 2 (fun _ ->
+           Commodity.make ~src:st.Staleroute_graph.Gen.src
+             ~dst:st.Staleroute_graph.Gen.dst ~demand:0.5))
+    ()

@@ -222,6 +222,68 @@ let test_resume_replays_faulted () =
          (Faults.make ~drop:0.3 ~partial:0.2 ~noise:0.2 ~seed:11 ()))
     ()
 
+(* Resume across an outage boundary: four parallel links, edges failing
+   and recovering on both sides of the snapshot, the stitched trace and
+   the final flow identical to the uninterrupted run. *)
+let test_resume_across_outage () =
+  let inst = Common.parallel 4 in
+  let config =
+    {
+      Driver.policy = Policy.uniform_linear inst;
+      staleness = Driver.Stale 0.25;
+      phases = 20;
+      steps_per_phase = 8;
+      scheme = Integrator.Rk4;
+    }
+  in
+  let run ?from ?checkpoint_every ?on_checkpoint () =
+    let buf = Probe.Memory.create () in
+    let faults =
+      Faults.plan
+        (Faults.make ~drop:0.25 ~outage:0.2 ~outage_mttr:3. ~outage_seed:7
+           ~seed:42 ())
+    in
+    let result =
+      Driver.run
+        ~probe:(Probe.Memory.probe buf)
+        ~faults ~guard:Guard.ignore_ ?from ?checkpoint_every ?on_checkpoint
+        inst config ~init:(Common.biased_start inst)
+    in
+    (Probe.Memory.events buf, result)
+  in
+  let full, full_result = run () in
+  let count p = Array.fold_left (fun n e -> if p e then n + 1 else n) 0 in
+  let is_down = function Probe.Edge_down _ -> true | _ -> false in
+  let is_up = function Probe.Edge_up _ -> true | _ -> false in
+  check_int "edge downs" 10 (count is_down full);
+  check_int "edge ups" 9 (count is_up full);
+  let saved = ref None in
+  ignore
+    (run ~checkpoint_every:7
+       ~on_checkpoint:(fun snap -> if !saved = None then saved := Some snap)
+       ());
+  let snap =
+    match !saved with
+    | Some snap -> snap
+    | None -> Alcotest.fail "no checkpoint captured"
+  in
+  let tail, resumed = run ~from:snap () in
+  let prefix_len = Array.length full - Array.length tail in
+  check_true "tail no longer than the full trace" (prefix_len >= 0);
+  let prefix = Array.sub full 0 prefix_len in
+  let has_edge_event evs = count (fun e -> is_down e || is_up e) evs > 0 in
+  check_true "outages before the snapshot" (has_edge_event prefix);
+  check_true "outages after the snapshot" (has_edge_event tail);
+  check_true "stitched trace byte-identical"
+    (String.equal
+       (Trace_export.events_to_string full)
+       (Trace_export.events_to_string (Array.append prefix tail)));
+  check_true "final flow bit-identical"
+    (Array.for_all2
+       (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+       (Staleroute_util.Vec.to_array full_result.Driver.final_flow)
+       (Staleroute_util.Vec.to_array resumed.Driver.final_flow))
+
 let test_resume_validates () =
   let inst = inst () in
   let c, _, _ = capture_checkpoint ~every:3 8 in
@@ -276,16 +338,16 @@ let colgen_workload () =
   in
   (pool, policy, st)
 
-let colgen_config policy phases =
+let colgen_config ?(t = 0.05) ?(steps = 6) policy phases =
   {
     Driver.policy;
-    staleness = Driver.Stale 0.05;
+    staleness = Driver.Stale t;
     phases;
-    steps_per_phase = 6;
+    steps_per_phase = steps;
     scheme = Integrator.Rk4;
   }
 
-let capture_colgen_checkpoint ~every phases =
+let capture_colgen_checkpoint ?t ?steps ~every phases =
   let pool, policy, st = colgen_workload () in
   let inst = Path_pool.instance pool in
   let buf = Probe.Memory.create () in
@@ -303,7 +365,8 @@ let capture_colgen_checkpoint ~every phases =
                 snapshot = snap;
                 events = Array.copy (Probe.Memory.events buf);
               })
-      inst (colgen_config policy phases)
+      inst
+      (colgen_config ?t ?steps policy phases)
       ~init:(Staleroute_wardrop.Flow.concentrated inst ~on:(fun _ -> 0))
   in
   match !saved with
@@ -382,10 +445,17 @@ let test_grown_edit_refused () =
            (colgen_config policy 16)
            ~init:(Staleroute_wardrop.Flow.concentrated inst ~on:(fun _ -> 0))))
 
-let test_colgen_resume_replays () =
-  let phases = 16 in
+(* E18's safe update period for this 6-layer workload (paths of at
+   most 7 edges). *)
+let safe_period policy inst =
+  let alpha = Option.get (Policy.alpha policy)
+  and beta = Staleroute_wardrop.Instance.beta inst in
+  if beta = 0. || alpha = 0. then 1.
+  else Float.min 1. (1. /. (4. *. 7. *. alpha *. beta))
+
+let colgen_resume_replays ?t ?steps ~every ~growth phases =
   let c, full_buf, full_result, pool, policy, _ =
-    capture_colgen_checkpoint ~every:6 phases
+    capture_colgen_checkpoint ?t ?steps ~every phases
   in
   let snap =
     match Checkpoint.of_json (Checkpoint.to_json c) with
@@ -400,7 +470,8 @@ let test_colgen_resume_replays () =
   let resumed =
     Driver.run
       ~probe:(Probe.Memory.probe buf)
-      ~colgen:pool ~from:snap inst (colgen_config policy phases)
+      ~colgen:pool ~from:snap inst
+      (colgen_config ?t ?steps policy phases)
       ~init:(Staleroute_wardrop.Flow.concentrated inst ~on:(fun _ -> 0))
   in
   let full = Probe.Memory.events full_buf in
@@ -412,10 +483,10 @@ let test_colgen_resume_replays () =
     (String.equal
        (Trace_export.events_to_string full)
        (Trace_export.events_to_string stitched));
-  check_true "resumed growth events exist"
-    (Array.exists
-       (function Probe.Path_growth _ -> true | _ -> false)
-       full);
+  check_int "growth events" growth
+    (Array.fold_left
+       (fun n e -> match e with Probe.Path_growth _ -> n + 1 | _ -> n)
+       0 full);
   check_true "final flow bit-identical"
     (Array.for_all2
        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
@@ -424,6 +495,13 @@ let test_colgen_resume_replays () =
   check_int "final instance dimension agrees"
     (Staleroute_wardrop.Instance.path_count full_result.Driver.final_instance)
     (Staleroute_wardrop.Instance.path_count resumed.Driver.final_instance)
+
+let test_colgen_resume_replays () =
+  colgen_resume_replays ~every:6 ~growth:6 16;
+  let pool, policy, _ = colgen_workload () in
+  colgen_resume_replays
+    ~t:(safe_period policy (Path_pool.instance pool))
+    ~steps:8 ~every:10 ~growth:17 40
 
 let suite =
   [
@@ -435,6 +513,7 @@ let suite =
     case "corrupt files refused" test_corruption_refused;
     case "resume replays the run" test_resume_replays;
     case "resume replays a faulted run" test_resume_replays_faulted;
+    case "resume across an outage boundary" test_resume_across_outage;
     case "resume validates the snapshot" test_resume_validates;
     case "colgen: grown paths round trip" test_grown_round_trip;
     case "colgen: absent without growth" test_grown_only_serialised_when_present;

@@ -482,6 +482,71 @@ let test_outage_run_deterministic () =
   check_true "outage actually fired"
     (Str_contains.contains t1 "edge_down")
 
+(* Every fault kind fires, at pinned counts, on 1 000 draws of one
+   mixed plan, and a driver run under that plan injects a pinned number
+   of faults into a trace that replays byte for byte. *)
+let test_every_kind_fires () =
+  let spec =
+    Faults.make ~drop:0.25 ~delay:0.15 ~partial:0.15 ~noise:0.15 ~seed:42 ()
+  in
+  let plan = Faults.plan spec in
+  let draws = List.init 1000 (fun i -> Faults.fault_at plan ~index:i) in
+  let count p = List.length (List.filter p draws) in
+  check_int "drops" 267 (count (fun f -> f = Some Faults.Drop));
+  check_int "delays"
+    156 (count (function Some (Faults.Delay _) -> true | _ -> false));
+  check_int "partials"
+    161 (count (function Some (Faults.Partial _) -> true | _ -> false));
+  check_int "noises"
+    139 (count (function Some (Faults.Noise _) -> true | _ -> false));
+  let inst = Common.two_link ~beta:4. in
+  let config =
+    { (smooth_config inst (Driver.Stale 0.25)) with
+      Driver.phases = 12;
+      steps_per_phase = 8 }
+  in
+  let run () =
+    let buf = Probe.Memory.create () in
+    ignore
+      (Driver.run ~faults:(Faults.plan spec)
+         ~probe:(Probe.Memory.probe buf)
+         inst config ~init:(Common.biased_start inst));
+    buf
+  in
+  let a = run () and b = run () in
+  check_int "faults injected" 7
+    (Probe.Memory.count a (function
+      | Probe.Fault_injected _ -> true
+      | _ -> false));
+  check_true "same-seed faulted traces byte-identical"
+    (String.equal
+       (Trace_export.events_to_string (Probe.Memory.events a))
+       (Trace_export.events_to_string (Probe.Memory.events b)))
+
+(* Dropped re-posts stretch the effective update period by about
+   1/(1-p): at p = 0.5, 400 phases post 186 boards, and the kernel is
+   rebuilt only on a post that landed. *)
+let test_drop_inflates_period () =
+  let module Metrics = Staleroute_obs.Metrics in
+  let inst = Common.two_link ~beta:4. in
+  let phases = 400 in
+  let metrics = Metrics.create () in
+  ignore
+    (Driver.run ~metrics
+       ~faults:(Faults.plan (Faults.make ~drop:0.5 ~seed:42 ()))
+       inst
+       { (smooth_config inst (Driver.Stale 0.25)) with
+         Driver.phases;
+         steps_per_phase = 8 }
+       ~init:(Common.biased_start inst));
+  let posts = Metrics.count (Metrics.counter metrics "board_reposts") in
+  check_int "posts" 186 posts;
+  check_int "kernel rebuilt once per post" posts
+    (Metrics.count (Metrics.counter metrics "kernel_rebuilds"));
+  let period = float_of_int phases /. float_of_int posts in
+  check_close ~eps:5e-4 "effective period / T" 2.151 period;
+  check_true "period within [1.6, 2.4] T" (period >= 1.6 && period <= 2.4)
+
 let suite =
   [
     case "spec validation" test_make_validates;
@@ -504,4 +569,6 @@ let suite =
     case "zero-rate inert (trajectory)" test_zero_rate_inert_trajectory;
     case "zero-rate inert (discrete)" test_zero_rate_inert_discrete;
     case "outage run deterministic" test_outage_run_deterministic;
+    case "every kind fires on 1000 draws" test_every_kind_fires;
+    case "drop 0.5 inflates the period" test_drop_inflates_period;
   ]

@@ -195,7 +195,8 @@ let test_trace_reader () =
     (fun s -> with_tmp_file s (fun path -> ignore_ok (Trace_reader.read_file path)))
     [ trace ];
   (* The writer spells an infinity [inf]; a literal that overflows to
-     one is damage, not a value. *)
+     one is damage, not a value.  No driver stamps an event with a
+     non-finite time, so a [nan] or [inf] time is refused too. *)
   List.iter
     (fun line ->
       with_tmp_file line (fun path ->
@@ -206,6 +207,9 @@ let test_trace_reader () =
       {|{"ev":"board_repost","time":1e400}|};
       {|{"ev":"board_repost","time":-1e400}|};
       {|{"ev":"phase_start","index":0,"time":0,"phi":99e999}|};
+      {|{"ev":"board_repost","time":nan}|};
+      {|{"ev":"board_repost","time":-inf}|};
+      {|{"ev":"fault","time":inf,"index":0,"kind":"drop","arg":0}|};
     ]
 
 let suite =

@@ -135,15 +135,18 @@ let test_driver_fail_fast () =
 
 let test_driver_repair_keeps_finite () =
   let inst = Common.two_link ~beta:4. in
-  let metrics = Metrics.create () in
-  let result =
-    Driver.run ~metrics ~guard:Guard.repair inst (nan_config 4)
-      ~init:(Common.biased_start inst)
-  in
-  check_true "final flow finite"
-    (Staleroute_util.Vec.for_all Float.is_finite result.Driver.final_flow);
-  check_true "repairs counted"
-    (Metrics.count (Metrics.counter metrics "guard_repairs") > 0)
+  List.iter
+    (fun phases ->
+      let metrics = Metrics.create () in
+      let result =
+        Driver.run ~metrics ~guard:Guard.repair inst (nan_config phases)
+          ~init:(Common.biased_start inst)
+      in
+      check_true "final flow finite"
+        (Staleroute_util.Vec.for_all Float.is_finite result.Driver.final_flow);
+      check_int "one repair per phase" phases
+        (Metrics.count (Metrics.counter metrics "guard_repairs")))
+    [ 3; 4 ]
 
 let test_driver_unguarded_nan_propagates () =
   (* Without a guard the NaN silently poisons the run — the behaviour

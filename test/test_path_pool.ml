@@ -364,12 +364,12 @@ let colgen_policy ~layers (_, latencies, _) =
     ~migration:
       (Migration.Linear { ell_max = float_of_int (layers + 1) *. worst })
 
-let config ~policy ~t ~phases =
+let config ?(steps = 10) ~policy ~t ~phases () =
   {
     Driver.policy;
     staleness = Driver.Stale t;
     phases;
-    steps_per_phase = 10;
+    steps_per_phase = steps;
     scheme = Integrator.Rk4;
   }
 
@@ -380,13 +380,15 @@ let safe_period ~layers policy inst =
   if beta = 0. || alpha = 0. then 1.
   else Float.min 1. (1. /. (4. *. d *. alpha *. beta))
 
-let differential_case seed () =
+(* [pin] is the expected (active, enumerated) column counts and the
+   potentials' relative difference, where a seed has them recorded. *)
+let differential_case ?pin ~phases ~steps seed () =
   let layers = 3 in
   let w = workload ~layers seed in
   let policy = colgen_policy ~layers w in
   let full_inst = Path_pool.instance (pool_of ~seed:Path_pool.Full w) in
   let t = safe_period ~layers policy full_inst in
-  let cfg = config ~policy ~t ~phases:350 in
+  let cfg = config ~steps ~policy ~t ~phases () in
   let pool = pool_of w in
   let seed_inst = Path_pool.instance pool in
   let colgen =
@@ -409,11 +411,57 @@ let differential_case seed () =
     Potential.phi colgen.Driver.final_instance colgen.Driver.final_flow
   in
   let phi_e = Potential.phi full_inst enum.Driver.final_flow in
-  check_true "potentials agree to 1% (same equilibrium)"
-    (Float.abs (phi_c -. phi_e) <= 1e-2 *. Float.max 1e-9 (Float.abs phi_e));
+  let rel = Float.abs (phi_c -. phi_e) /. Float.max 1e-9 (Float.abs phi_e) in
+  check_true "potentials agree to 1% (same equilibrium)" (rel <= 1e-2);
+  let active = Instance.path_count colgen.Driver.final_instance in
   check_true "active set within the enumerated set"
-    (Instance.path_count colgen.Driver.final_instance
-    <= Instance.path_count full_inst)
+    (active <= Instance.path_count full_inst);
+  Option.iter
+    (fun (want_active, want_enumerated, want_rel) ->
+      check_int "active columns" want_active active;
+      check_int "enumerated columns" want_enumerated
+        (Instance.path_count full_inst);
+      check_close ~eps:1e-6 "potentials' relative difference" want_rel rel)
+    pin
+
+(* --- Growth on a graph no enumeration could hold --- *)
+
+(* A seeded 66-layer DAG of more than 10^4 edges and over 10^30 simple
+   paths: the run grows a few hundred columns, one per growth event,
+   and ends delta-satisfied on the full graph. *)
+let test_large_dag_growth () =
+  let layers = 66 in
+  let ((st, _, _) as w) =
+    workload ~layers ~width:16 ~edge_prob:0.6 ~skip_prob:0.05 22
+  in
+  let pool = pool_of w in
+  let policy = colgen_policy ~layers w in
+  let seed_inst = Path_pool.instance pool in
+  let metrics = Staleroute_obs.Metrics.create () in
+  let result =
+    Driver.run ~metrics ~colgen:pool seed_inst
+      (config ~steps:12 ~policy
+         ~t:(safe_period ~layers policy seed_inst)
+         ~phases:800 ())
+      ~init:(Flow.concentrated seed_inst ~on:(fun _ -> 0))
+  in
+  check_int "edges" 11_233 (Digraph.edge_count st.Gen.graph);
+  let enumerable =
+    Option.get
+      (Path_enum.count_paths_dag st.Gen.graph ~src:st.Gen.src ~dst:st.Gen.dst)
+  in
+  check_true "enumerable paths beyond 10^30" (enumerable >= 1e30);
+  check_int "active columns" 356
+    (Instance.path_count result.Driver.final_instance);
+  check_int "columns grown" 355
+    (Staleroute_obs.Metrics.count
+       (Staleroute_obs.Metrics.counter metrics "paths_grown"));
+  check_true "final flow finite"
+    (Vec.for_all Float.is_finite result.Driver.final_flow);
+  check_true "delta-satisfied (delta = 0.5)"
+    (Path_pool.unsatisfied_volume pool result.Driver.final_instance
+       result.Driver.final_flow ~delta:0.5
+    <= 1e-3)
 
 (* --- Full seed: colgen must be bitwise inert --- *)
 
@@ -428,7 +476,7 @@ let test_full_seed_driver_bitwise () =
   let pool = pool_of ~seed:Path_pool.Full w in
   let inst = Path_pool.instance pool in
   let policy = colgen_policy ~layers w in
-  let cfg = config ~policy ~t:(safe_period ~layers policy inst) ~phases:25 in
+  let cfg = config ~policy ~t:(safe_period ~layers policy inst) ~phases:25 () in
   let run ?colgen () =
     let buf = Probe.Memory.create () in
     let result =
@@ -452,7 +500,7 @@ let test_full_seed_trajectory_bitwise () =
   let pool = pool_of ~seed:Path_pool.Full w in
   let inst = Path_pool.instance pool in
   let policy = colgen_policy ~layers w in
-  let cfg = config ~policy ~t:(safe_period ~layers policy inst) ~phases:15 in
+  let cfg = config ~policy ~t:(safe_period ~layers policy inst) ~phases:15 () in
   let init = Flow.uniform inst in
   let plain = Trajectory.record inst cfg ~init ~samples_per_phase:3 in
   let colgen =
@@ -496,7 +544,7 @@ let test_driver_grows_and_discrete_agree_on_purity () =
     let pool = pool_of w in
     let inst = Path_pool.instance pool in
     let cfg =
-      config ~policy ~t:(safe_period ~layers policy inst) ~phases:30
+      config ~policy ~t:(safe_period ~layers policy inst) ~phases:30 ()
     in
     let buf = Probe.Memory.create () in
     let result =
@@ -528,7 +576,7 @@ let test_driver_grows_and_discrete_agree_on_purity () =
   let other = Path_pool.instance (pool_of w) in
   check_raises_invalid "foreign instance refused" (fun () ->
       Driver.run ~colgen:pool other
-        (config ~policy ~t:0.25 ~phases:1)
+        (config ~policy ~t:0.25 ~phases:1 ())
         ~init:(Flow.concentrated other ~on:(fun _ -> 0)))
 
 let suite =
@@ -550,13 +598,18 @@ let suite =
     case "colgen judge = enumerating judge (full pool)"
       test_judges_agree_on_full_pool;
     slow_case "differential: colgen = enumerated (seed 7)"
-      (differential_case 7);
+      (differential_case ~phases:350 ~steps:10 7);
     slow_case "differential: colgen = enumerated (seed 23)"
-      (differential_case 23);
+      (differential_case ~phases:350 ~steps:10 23);
+    slow_case "differential: colgen = enumerated (seed 5)"
+      (differential_case
+         ~pin:(11, 17, 0.0016792923232535604)
+         ~phases:400 ~steps:12 5);
     case "full seed: driver bitwise inert" test_full_seed_driver_bitwise;
     case "full seed: trajectory bitwise inert"
       test_full_seed_trajectory_bitwise;
     case "full seed: discrete bitwise inert" test_full_seed_discrete_bitwise;
     slow_case "driver growth is pure and reflected in the result"
       test_driver_grows_and_discrete_agree_on_purity;
+    slow_case "growth on a 10^4-edge layered DAG" test_large_dag_growth;
   ]

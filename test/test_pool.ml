@@ -217,6 +217,17 @@ let test_faulted_trace_bytes_identical () =
         (String.equal s pooled.(i)))
     sequential
 
+(* The sweep fan-out gate: per-task work below the threshold strips
+   the pool, at or above it keeps the pool, and [None] passes through. *)
+let test_gate () =
+  with_width 2 (fun pool ->
+      let pool = Some pool in
+      check_true "small work runs sequentially"
+        (Pool.gate ~work:(Pool.min_fanout_work - 1) pool = None);
+      check_true "large work keeps the pool"
+        (Pool.gate ~work:Pool.min_fanout_work pool == pool);
+      check_true "no pool stays no pool" (Pool.gate ~work:0 None = None))
+
 let suite =
   [
     case "parallel_map matches Array.map" test_map_matches_sequential;
@@ -229,6 +240,7 @@ let suite =
     case "nested submission is rejected" test_nested_rejected;
     case "with_pool width handling" test_with_pool_width;
     case "shutdown is idempotent and final" test_shutdown;
+    case "fan-out gate" test_gate;
     case "Rng.split_seeds" test_split_seeds;
     case "pooled traces byte-identical to sequential"
       test_trace_bytes_identical;

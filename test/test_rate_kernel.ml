@@ -627,12 +627,77 @@ let test_euler_path_allocation_free () =
       check_close "0 words per euler step" 0. ((large -. small) /. 1000.)
   | _ -> ()
 
+(* Kernel updates on [multicommodity_parallel 20] (40 paths), each
+   alternating between two boards so every call really refreshes.  A
+   per-entry allocation on this instance would cost hundreds of words,
+   so any update stays under a small constant; between boards that
+   reorder the paths the in-place insertion sort moves entries and
+   still allocates nothing. *)
+let update_words kernel (a, b) =
+  let flip = ref false in
+  words_per_call (fun () ->
+      flip := not !flip;
+      ignore (Rate_kernel.update kernel ~board:(if !flip then a else b)))
+
+let test_update_allocation_bounded () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let inst = multicommodity_parallel 20 in
+      let policy = Policy.uniform_linear inst in
+      let flow = Flow.uniform inst in
+      let board = Bulletin_board.post inst ~time:0. flow in
+      (* Shares that differ from [flow] on every path: a uniform
+         rescale would project straight back to [flow]. *)
+      let shifted =
+        Flow.project inst
+          (Vec.init (Instance.path_count inst) (fun i ->
+               Vec.get flow i *. (1. +. (0.01 *. float_of_int (1 + (i mod 3))))))
+      in
+      let board2 = Bulletin_board.post inst ~time:1e-3 shifted in
+      let words =
+        update_words (Rate_kernel.build inst policy ~board) (board2, board)
+      in
+      check_true
+        (Printf.sprintf "kernel update: %.1f minor words <= 64" words)
+        (words <= 64.)
+  | _ -> ()
+
+let test_reordering_update_allocation_free () =
+  let inst = multicommodity_parallel 20 in
+  let policy = Policy.uniform_linear inst in
+  let board = Bulletin_board.post inst ~time:0. (Flow.uniform inst) in
+  let rboard =
+    Bulletin_board.post inst ~time:2e-3 (Flow.random inst (rng ~seed:3 ()))
+  in
+  (* Pairs of one commodity's paths whose posted order the two boards
+     disagree on. *)
+  let inversions =
+    let la = board.Bulletin_board.path_latencies
+    and lb = rboard.Bulletin_board.path_latencies in
+    let count = ref 0 in
+    for ci = 0 to Instance.commodity_count inst - 1 do
+      let ps = Instance.paths_of_commodity inst ci in
+      Array.iter
+        (fun p ->
+          Array.iter
+            (fun q -> if la.(p) < la.(q) && lb.(p) > lb.(q) then incr count)
+            ps)
+        ps
+    done;
+    !count
+  in
+  check_int "reorder inversions" 48 inversions;
+  match Sys.backend_type with
+  | Sys.Native ->
+      check_close "reordering update: 0 minor words per call" 0.
+        (update_words (Rate_kernel.build inst policy ~board) (rboard, board))
+  | _ -> ()
+
 (* The faulted repost path ([repost ~edge_latencies], what partial,
-   noise and outage boards go through) under the clean repost's
-   allocation bound: with a persistent delta scratch, a steady-state
-   call that dirties every edge allocates the new board and nothing for
-   the scan itself — at most 256 words here, the bound [@perf-smoke]
-   applies to the clean repost. *)
+   noise and outage boards go through) under a small allocation bound:
+   with a persistent delta scratch, a steady-state call that dirties
+   every edge allocates the new board and nothing for the scan
+   itself. *)
 let test_faulted_repost_allocation_bounded () =
   match Sys.backend_type with
   | Sys.Native ->
@@ -687,6 +752,9 @@ let suite =
     case "in-place integrator bit-identical" test_integrate_into_matches_integrate;
     case "driver end-to-end vs reference" test_driver_matches_reference_integration;
     case "euler path allocation-free" test_euler_path_allocation_free;
+    case "update allocation bounded" test_update_allocation_bounded;
+    case "reordering update allocation-free"
+      test_reordering_update_allocation_free;
     case "faulted repost allocation bounded"
       test_faulted_repost_allocation_bounded;
   ]

@@ -386,7 +386,43 @@ let test_sparse_dirty_counts () =
   check_int "no changed paths on identical flow" 0
     (Bulletin_board.changed_count delta);
   check_true "identical re-post still bitwise fresh"
-    (board_fields_equal again (Bulletin_board.post inst ~time:2. g))
+    (board_fields_equal again (Bulletin_board.post inst ~time:2. g));
+  (* Two commodities over 200 shared links: still two edges. *)
+  let big = multicommodity_parallel 200 in
+  let f = Flow.uniform big in
+  let prev = Bulletin_board.post big ~time:0. f in
+  let g = Vec.copy f in
+  Vec.set g 0 (Vec.get g 0 -. 0.002);
+  Vec.set g 1 (Vec.get g 1 +. 0.002);
+  ignore (Bulletin_board.repost ~delta big ~prev ~time:1. g);
+  check_int "two dirty edges of 200" 2 (Bulletin_board.dirty_edges delta)
+
+(* Steady-state repost cost on [multicommodity_parallel 20] (20 edges,
+   40 paths): with a persistent delta scratch a repost allocates only
+   the new board (flow copy, edge and path latencies, the record) and
+   nothing per dirty entry.  82 words is what that board costs. *)
+let test_repost_allocation_bounded () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let inst = multicommodity_parallel 20 in
+      let f = Flow.uniform inst in
+      let g = Vec.copy f in
+      Vec.set g 0 (Vec.get g 0 -. 0.004);
+      Vec.set g 1 (Vec.get g 1 +. 0.004);
+      let delta = Bulletin_board.delta () in
+      let prev = ref (Bulletin_board.post inst ~time:0. f) in
+      let flip = ref false in
+      let words =
+        words_per_call (fun () ->
+            flip := not !flip;
+            prev :=
+              Bulletin_board.repost ~delta inst ~prev:!prev ~time:0.
+                (if !flip then g else f))
+      in
+      check_true
+        (Printf.sprintf "repost: %.1f minor words <= 82" words)
+        (words <= 82.)
+  | _ -> ()
 
 let test_delta_resizes_across_instances () =
   let delta = Bulletin_board.delta () in
@@ -432,6 +468,8 @@ let suite =
     case "unclean prev falls back to full recompute"
       test_unclean_prev_recomputes_in_full;
     case "sparse dirty counts scale with the delta" test_sparse_dirty_counts;
+    case "steady-state repost allocation bounded"
+      test_repost_allocation_bounded;
     case "delta scratch resizes across instances"
       test_delta_resizes_across_instances;
     case "validation" test_repost_validation;

@@ -10,6 +10,17 @@ let test_null_inert () =
   Span.exit Span.null h;
   check_int "null profile is empty" 0 (List.length (Span.profile Span.null))
 
+(* Enter/exit on the null recorder is a branch: no clock read, no
+   allocation, so instrumented hot paths keep their 0-word contracts. *)
+let test_null_allocation_free () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      check_close "null enter/exit: 0 minor words per call" 0.
+        (words_per_call (fun () ->
+             let h = Span.enter Span.null "hot" in
+             Span.exit Span.null h))
+  | _ -> ()
+
 let test_null_record_passthrough () =
   check_int "record returns f's value" 41
     (Span.record Span.null "cold" (fun () -> 41))
@@ -84,6 +95,43 @@ let test_quantiles_ordered () =
   check_true "p90 <= max" (e.Span.p90_ns <= e.Span.max_ns);
   check_true "max <= total" (e.Span.max_ns <= e.Span.total_ns)
 
+(* --- A driver run under an enabled recorder --- *)
+
+let test_driver_spans () =
+  let open Staleroute_dynamics in
+  let module Common = Staleroute_experiments.Common in
+  let module Probe = Staleroute_obs.Probe in
+  let inst = Common.two_link ~beta:4. in
+  let phases = 4 in
+  let config =
+    {
+      Driver.policy = Policy.uniform_linear inst;
+      staleness = Driver.Stale 0.1;
+      phases;
+      steps_per_phase = 6;
+      scheme = Integrator.Rk4;
+    }
+  in
+  let r = Span.create () and buf = Probe.Memory.create () in
+  ignore
+    (Driver.run ~probe:(Probe.Memory.probe buf) ~spans:r inst config
+       ~init:(Staleroute_wardrop.Flow.random inst (rng ~seed:42 ())));
+  (* Five events per phase: start, repost, rebuild, step batch, end. *)
+  check_int "trace events" 20 (Probe.Memory.length buf);
+  let prof = Span.profile r in
+  let count name =
+    match List.find_opt (fun e -> e.Span.name = name) prof with
+    | Some e -> e.Span.count
+    | None -> 0
+  in
+  check_true "kernel_build seen" (count "kernel_build" >= 1);
+  check_int "one phase span per phase" phases (count "phase");
+  List.iter
+    (fun e ->
+      check_true (e.Span.name ^ ": self <= total")
+        (e.Span.self_ns <= e.Span.total_ns +. 1e-6))
+    prof
+
 (* --- Misuse and exception safety --- *)
 
 let test_exit_out_of_order_rejected () =
@@ -128,12 +176,14 @@ let test_to_json_keys () =
 let suite =
   [
     case "null recorder is inert" test_null_inert;
+    case "null recorder allocation-free" test_null_allocation_free;
     case "null record passes the value through" test_null_record_passthrough;
     case "counts aggregate by name" test_counts_aggregate_by_name;
     case "nesting splits self time" test_nesting_splits_self_time;
     case "open spans are excluded" test_open_span_excluded;
     case "profile sorted by total" test_profile_sorted_by_total;
     case "quantiles ordered" test_quantiles_ordered;
+    case "driver run under an enabled recorder" test_driver_spans;
     case "out-of-order exit rejected" test_exit_out_of_order_rejected;
     case "record rebalances on raise" test_record_rebalances_on_raise;
     case "to_table renders" test_to_table_renders;

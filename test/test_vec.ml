@@ -152,6 +152,25 @@ let test_extend () =
   check_raises_invalid "shrinking rejected" (fun () ->
       ignore (Vec.extend v ~dim:2))
 
+(* The integrators' scratch arithmetic: every in-place op allocates
+   nothing per call. *)
+let test_in_place_ops_allocation_free () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let x = Vec.create 40 1.5 and y = Vec.create 40 0.5 in
+      List.iter
+        (fun (name, f) ->
+          check_close (name ^ ": 0 minor words per call") 0.
+            (words_per_call f))
+        [
+          ("fill", fun () -> Vec.fill y 0.5);
+          ("blit", fun () -> Vec.blit ~src:x ~dst:y);
+          ("add_", fun () -> Vec.add_ ~x ~y);
+          ("scale_", fun () -> Vec.scale_ 1.0000001 y);
+          ("axpy", fun () -> Vec.axpy ~alpha:1e-9 ~x ~y);
+        ]
+  | _ -> ()
+
 let suite =
   [
     case "create" test_create;
@@ -163,6 +182,7 @@ let suite =
     case "axpy" test_axpy;
     case "dot" test_dot;
     case "in-place ops" test_in_place_ops;
+    case "in-place ops allocation-free" test_in_place_ops_allocation_free;
     case "scratch pool" test_pool_reuses_buffers;
     case "lerp" test_lerp;
     case "norms" test_norms;
