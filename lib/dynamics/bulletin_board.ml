@@ -137,110 +137,87 @@ let collect_changed d ~n ~flow ~pflow ~path_latencies ~prev_path_latencies =
     end
   done
 
+let[@inline] push_dirty_edge d e =
+  d.dirty_edge.(d.n_dirty_edges) <- e;
+  d.n_dirty_edges <- d.n_dirty_edges + 1
+
 (* The one posting routine behind [post] and [repost]: the only code
    that computes a new board's edge and path latencies.  The edge
    latencies are the caller's [edge_latencies] (copied; the board is
    unclean) or the ones [flow] induces (clean).
 
-   Without a previous board, or from an unclean one with induced
-   latencies, every edge and path is computed.  Otherwise the work is
-   sparse: dirty edges are the supplied latencies that moved bits
-   against [prev]'s, or — from a clean [prev] — the edges of paths
-   whose flow moved bits, whose flows are re-gathered in the canonical
-   ascending-path order of a full [Flow.edge_flows] scan (the
-   transposed incidence rows preserve it by construction).  Only paths
-   incident to a dirty edge get their latency recomputed.  Unchanged
-   inputs through the same pure float expressions give unchanged bits,
-   so the board is bitwise identical to the full computation (the
-   qcheck differential suite pins it down).  The sparse gather is only
-   sound from a clean [prev], whose latencies are exactly the ones its
-   flow induces.  With a previous board the changed-path set for
-   [Rate_kernel.update] is extracted into [d]. *)
+   Only dirty edges are (re)computed, and only paths incident to a
+   dirty edge get their latency recomputed; everything else keeps
+   [prev]'s bits.  Dirty edges are the supplied latencies that moved
+   bits against [prev]'s, or, from a clean [prev], the edges of paths
+   whose flow moved bits, their loads re-gathered by
+   [Flow.edge_flows_into].  Without a previous board, or from an
+   unclean one with induced latencies, every edge is dirty: the sparse
+   gather is only sound from a clean [prev], whose latencies are
+   exactly the ones its flow induces.  Unchanged inputs through the
+   same pure float expressions give unchanged bits, so the board does
+   not depend on [prev].  With a previous board the changed-path set
+   for [Rate_kernel.update] is extracted into [d]. *)
 let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
   check_frame ~who inst ~prev ~edge_latencies:supplied flow;
   let n = Instance.path_count inst in
   let ec = edge_count inst in
-  (* Only touched when there is a previous board. *)
   let d = match d with Some d -> d | None -> delta () in
+  ensure d ~edges:ec ~paths:n;
+  d.n_dirty_edges <- 0;
   let sparse_prev =
     match prev with
     | Some p when p.clean || Option.is_some supplied -> prev
     | _ -> None
   in
-  let edge_latencies, path_latencies =
-    match sparse_prev with
-    | None ->
-        let edge_latencies =
-          match supplied with
-          | Some el -> Array.copy el
-          | None -> Flow.edge_latencies inst (Flow.edge_flows inst flow)
-        in
-        ( edge_latencies,
-          Array.init n (fun p -> Flow.path_latency inst ~edge_latencies p) )
-    | Some prev ->
-        ensure d ~edges:ec ~paths:n;
-        d.n_dirty_edges <- 0;
-        let edge_latencies =
-          match supplied with
-          | Some el ->
-              for e = 0 to ec - 1 do
-                if bits_differ el.(e) prev.edge_latencies.(e) then begin
-                  d.dirty_edge.(d.n_dirty_edges) <- e;
-                  d.n_dirty_edges <- d.n_dirty_edges + 1
-                end
-              done;
-              Array.copy el
-          | None ->
-              let offsets = Instance.csr_offsets inst in
-              let edges = Instance.csr_edges inst in
-              for p = 0 to n - 1 do
-                if
-                  bits_differ (Vec.unsafe_get flow p)
-                    (Vec.unsafe_get prev.flow p)
-                then
-                  for k = offsets.(p) to offsets.(p + 1) - 1 do
-                    let e = Array.unsafe_get edges k in
-                    if not (Array.unsafe_get d.edge_mark e) then begin
-                      Array.unsafe_set d.edge_mark e true;
-                      d.dirty_edge.(d.n_dirty_edges) <- e;
-                      d.n_dirty_edges <- d.n_dirty_edges + 1
-                    end
-                  done
-              done;
-              let edge_latencies = Array.copy prev.edge_latencies in
-              let t_off = Instance.edge_csr_offsets inst in
-              let t_paths = Instance.edge_csr_paths inst in
-              for i = 0 to d.n_dirty_edges - 1 do
-                let e = d.dirty_edge.(i) in
-                (* Same skip, same ascending-path accumulation order as
-                   [Flow.edge_flows]: identical bits.  The load is
-                   parked in the latency slot, evaluated in place
-                   below. *)
-                let acc = ref 0. in
-                for k = t_off.(e) to t_off.(e + 1) - 1 do
-                  let fp = Vec.unsafe_get flow (Array.unsafe_get t_paths k) in
-                  if fp <> 0. then acc := !acc +. fp
-                done;
-                edge_latencies.(e) <- !acc;
-                d.edge_mark.(e) <- false
-              done;
-              Latency.eval_into (Instance.latencies inst) ~edges:d.dirty_edge
-                ~count:d.n_dirty_edges edge_latencies edge_latencies;
-              edge_latencies
-        in
-        let path_latencies = Array.copy prev.path_latencies in
-        refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
-        (edge_latencies, path_latencies)
+  (match (sparse_prev, supplied) with
+  | None, _ ->
+      for e = 0 to ec - 1 do
+        push_dirty_edge d e
+      done
+  | Some prev, Some el ->
+      for e = 0 to ec - 1 do
+        if bits_differ el.(e) prev.edge_latencies.(e) then push_dirty_edge d e
+      done
+  | Some prev, None ->
+      let offsets = Instance.csr_offsets inst in
+      let edges = Instance.csr_edges inst in
+      for p = 0 to n - 1 do
+        if bits_differ (Vec.unsafe_get flow p) (Vec.unsafe_get prev.flow p)
+        then
+          for k = offsets.(p) to offsets.(p + 1) - 1 do
+            let e = Array.unsafe_get edges k in
+            if not (Array.unsafe_get d.edge_mark e) then begin
+              Array.unsafe_set d.edge_mark e true;
+              push_dirty_edge d e
+            end
+          done
+      done;
+      for i = 0 to d.n_dirty_edges - 1 do
+        d.edge_mark.(d.dirty_edge.(i)) <- false
+      done);
+  let edge_latencies =
+    match (supplied, sparse_prev) with
+    | Some el, _ -> Array.copy el
+    | None, Some prev -> Array.copy prev.edge_latencies
+    | None, None -> Array.make ec 0.
   in
+  if Option.is_none supplied then begin
+    (* The loads are parked in the latency slots, evaluated in place. *)
+    Flow.edge_flows_into inst flow ~edges:d.dirty_edge ~count:d.n_dirty_edges
+      edge_latencies;
+    Latency.eval_into (Instance.latencies inst) ~edges:d.dirty_edge
+      ~count:d.n_dirty_edges edge_latencies edge_latencies
+  end;
+  let path_latencies =
+    match sparse_prev with
+    | Some prev -> Array.copy prev.path_latencies
+    | None -> Array.make n 0.
+  in
+  refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
   (match prev with
   | None -> ()
   | Some prev ->
-      if sparse_prev == None then begin
-        (* Full recompute: every edge and path was (re)done. *)
-        ensure d ~edges:ec ~paths:n;
-        d.n_dirty_edges <- ec;
-        d.n_dirty_paths <- n
-      end;
       collect_changed d ~n ~flow ~pflow:prev.flow ~path_latencies
         ~prev_path_latencies:prev.path_latencies);
   make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~edge_latencies

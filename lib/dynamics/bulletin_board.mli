@@ -7,10 +7,9 @@
     Re-posting is delta-aware (DESIGN.md §13): {!repost} starts from the
     previous snapshot, touches only edges and paths whose inputs moved
     bits, and still produces a board {b bitwise identical} to a fresh
-    {!post} — unchanged inputs through the same pure float expressions
-    give unchanged bits, and the sparse edge-flow re-gather walks the
-    transposed incidence in the same ascending-path order as a full
-    [Flow.edge_flows] scan. *)
+    {!post}.  Both are one routine: a {!post} is a repost with every
+    edge dirty, and dirty edge loads come from [Flow.edge_flows_into],
+    the one load gather. *)
 
 open Staleroute_wardrop
 
@@ -26,7 +25,7 @@ type t = private {
           when the caller supplied [?edge_latencies] (fault injection
           posts mixed-age or noisy boards).  {!repost} only trusts the
           sparse gather from a clean previous board; from an unclean
-          one it recomputes the edge side in full. *)
+          one it dirties every edge. *)
 }
 
 val post :
@@ -97,13 +96,12 @@ val repost :
   t
 (** [repost inst ~prev ~time flow] snapshots [flow] like {!post}, but
     starts from the previous board: only edges incident to a path whose
-    flow moved bits get their flow re-gathered (canonical
-    ascending-path order, see {!Instance.edge_csr_paths}) and latency
-    re-evaluated, and only paths incident to such an edge get their
-    latency recomputed.  The result is {b bitwise identical} to
-    [post inst ~time flow] — the qcheck differential suite pins it
-    down.  From an unclean [prev] (see {!type-t}) the edge side
-    recomputes in full instead; the changed set is still extracted.
+    flow moved bits get their flow re-gathered (by
+    [Flow.edge_flows_into]) and latency re-evaluated, and only paths
+    incident to such an edge get their latency recomputed.  The result
+    is {b bitwise identical} to [post inst ~time flow].  From an
+    unclean [prev] (see {!type-t}) every edge is dirty instead; the
+    changed set is still extracted.
 
     With [?edge_latencies] the board is [post ~edge_latencies]'s,
     bitwise: dirty edges are the supplied latencies that moved bits

@@ -301,17 +301,11 @@ let outage_start t ~edges ~phase =
     (* State *entering* [phase]: transitions 0 .. phase-1 applied, so
        the first [outage_step ~phase] lands the resumed chain exactly
        where the uninterrupted run's is. *)
-    let down = Array.make edges false in
-    let n = ref 0 in
-    for e = 0 to edges - 1 do
-      let d = ref false in
-      for ph = 0 to phase - 1 do
-        d := transition t ~phase:ph ~edge:e ~was_down:!d
-      done;
-      down.(e) <- !d;
-      if !d then incr n
-    done;
-    Some { plan = t; down; n_down = !n }
+    let down =
+      Array.init edges (fun edge -> edge_down t ~edge ~phase:(phase - 1))
+    in
+    let n_down = Array.fold_left (fun n d -> if d then n + 1 else n) 0 down in
+    Some { plan = t; down; n_down }
   end
 
 let outage_step st ~phase ~on_change =

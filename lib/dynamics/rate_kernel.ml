@@ -1,26 +1,6 @@
 open Staleroute_wardrop
 module Vec = Staleroute_util.Vec
 
-(* µ(ℓ_P, ℓ_Q): [Migration.prob] arm for arm, with [Numerics.clamp]
-   spelled out as [Float.min hi (Float.max lo x)].  Inlined so the
-   pairwise loops neither box the floats nor make a cross-module call
-   per pair; [Custom] goes through its closure.  A test pins every arm
-   to [Migration.prob] bit for bit. *)
-let[@inline] mu migration lp lq =
-  match migration with
-  | Migration.Better_response -> if lp > lq then 1. else 0.
-  | Migration.Linear { ell_max } ->
-      if lp > lq then Float.min 1. (Float.max 0. ((lp -. lq) /. ell_max))
-      else 0.
-  | Migration.Scaled_linear { alpha } ->
-      if lp > lq then Float.min 1. (Float.max 0. (alpha *. (lp -. lq)))
-      else 0.
-  | Migration.Relative { scale } ->
-      if lp > lq && lp > 0. then
-        Float.min 1. (Float.max 0. (scale *. (lp -. lq) /. lp))
-      else 0.
-  | Migration.Custom { prob; _ } -> prob ~ell_p:lp ~ell_q:lq
-
 (* A built-in µ(ℓ_P, ℓ_Q) as a function of ℓ_Q < ℓ_P: 1 at or below a
    breakpoint, affine between the breakpoint and ℓ_P.
    - [Step]: better response, 1 for every strictly cheaper ℓ_Q.
@@ -131,7 +111,8 @@ let compile_dense t d ~board ci =
       if b <> a then begin
         Array.unsafe_set mat (base + b)
           (Array.unsafe_get sigma b
-          *. mu migration lp (Array.unsafe_get lat (Array.unsafe_get ps b)));
+          *. Migration.prob migration ~ell_p:lp
+               ~ell_q:(Array.unsafe_get lat (Array.unsafe_get ps b)));
         sum := !sum +. Array.unsafe_get mat (base + b)
       end
     done;
@@ -215,7 +196,8 @@ let compile_factored t z ~board ci =
           sum :=
             !sum
             +. Array.unsafe_get s0 b
-               *. mu migration lp (Array.unsafe_get lat (Array.unsafe_get ps b))
+               *. Migration.prob migration ~ell_p:lp
+                    ~ell_q:(Array.unsafe_get lat (Array.unsafe_get ps b))
       done;
       t.row_sum.(p) <- !sum
     done
@@ -450,7 +432,9 @@ let rate t ~from_ q =
         if from_ = q then 0.
         else
           let lat = t.board.Bulletin_board.path_latencies in
-          z.sigma.(q) *. mu t.policy.Policy.migration lat.(from_) lat.(q)
+          z.sigma.(q)
+          *. Migration.prob t.policy.Policy.migration ~ell_p:lat.(from_)
+               ~ell_q:lat.(q)
 
 let eval_dense t d f dst ci =
   let ps = t.paths_of.(ci) in
@@ -498,7 +482,8 @@ let eval_pairwise t z f dst ci =
             (Vec.unsafe_get dst p
             +. fa
                *. (Array.unsafe_get z.sigma p
-                  *. mu migration lq (Array.unsafe_get lat p)))
+                  *. Migration.prob migration ~ell_p:lq
+                       ~ell_q:(Array.unsafe_get lat p)))
         end
       done
     end

@@ -1,6 +1,5 @@
 open Staleroute_wardrop
 module Latency = Staleroute_latency.Latency
-module Vec = Staleroute_util.Vec
 
 let error_terms inst ~phase_start ~phase_end =
   let fe_hat = Flow.edge_flows inst phase_start in
@@ -33,38 +32,23 @@ type ledger = {
   sums : float array;  (* Φ, V of the last [close_phase] *)
 }
 
-(* The loads of the used edges, each summed from 0. over its transpose
-   row in ascending path index, skipping zero flows: per edge the same
-   additions in the same order as [Flow.edge_flows], hence its bits.
-   Unused edges are never written and stay 0; the used-edge index only
-   grows under [Instance.extend], so an edge written once stays used. *)
-let gather inst f loads =
-  if Vec.dim f <> Instance.path_count inst then
-    invalid_arg "Virtual_gain: flow dimension is not the instance's path count";
-  let t_off = Instance.edge_csr_offsets inst in
-  let t_paths = Instance.edge_csr_paths inst in
-  let used = Instance.used_edges inst in
-  for i = 0 to Array.length used - 1 do
-    let e = used.(i) in
-    let acc = ref 0. in
-    for k = t_off.(e) to t_off.(e + 1) - 1 do
-      let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
-      if fp <> 0. then acc := !acc +. fp
-    done;
-    loads.(e) <- !acc
-  done
-
 let ledger inst f =
-  let m = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
-  let start = Array.make m 0. in
-  gather inst f start;
-  { start; finish = Array.make m 0.; sums = Array.make 2 0. }
+  let start = Flow.edge_flows inst f in
+  {
+    start;
+    finish = Array.make (Array.length start) 0.;
+    sums = Array.make 2 0.;
+  }
 
+(* Only the used edges' loads are gathered.  Unused edges are never
+   written and stay 0; the used-edge index only grows under
+   [Instance.extend], so an edge written once stays used. *)
 let close_phase l inst f =
-  gather inst f l.finish;
+  let used = Instance.used_edges inst in
+  Flow.edge_flows_into inst f ~edges:used ~count:(Array.length used) l.finish;
   let start = l.start and finish = l.finish in
-  Latency.phase_sums (Instance.latencies inst)
-    ~edges:(Instance.used_edges inst) ~hat:start ~load:finish l.sums;
+  Latency.phase_sums (Instance.latencies inst) ~edges:used ~hat:start
+    ~load:finish l.sums;
   l.start <- finish;
   l.finish <- start;
   (l.sums.(0), l.sums.(1))

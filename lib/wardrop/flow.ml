@@ -139,21 +139,36 @@ let evacuate inst ~dead f =
   done;
   !partitioned
 
+(* The one load gather: each listed edge's transpose row summed from
+   [0.] in ascending path index, skipping zero flows.  The dimension
+   check guards the unchecked reads. *)
+let edge_flows_into inst f ~edges ~count dst =
+  if Vec.dim f <> Instance.path_count inst then
+    invalid_arg "Flow.edge_flows_into: flow dimension is not the path count";
+  let t_off = Instance.edge_csr_offsets inst in
+  let t_paths = Instance.edge_csr_paths inst in
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    let acc = ref 0. in
+    for k = t_off.(e) to t_off.(e + 1) - 1 do
+      let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
+      if fp <> 0. then acc := !acc +. fp
+    done;
+    dst.(e) <- !acc
+  done
+
 let edge_flows inst f =
   let fe = Array.make (Staleroute_graph.Digraph.edge_count (Instance.graph inst)) 0. in
-  let offsets = Instance.csr_offsets inst and edges = Instance.csr_edges inst in
-  Vec.iteri
-    (fun p fp ->
-      if fp <> 0. then
-        for k = offsets.(p) to offsets.(p + 1) - 1 do
-          let e = edges.(k) in
-          fe.(e) <- fe.(e) +. fp
-        done)
-    f;
+  let used = Instance.used_edges inst in
+  edge_flows_into inst f ~edges:used ~count:(Array.length used) fe;
   fe
 
 let edge_latencies inst fe =
-  Array.mapi (fun e load -> Latency.eval (Instance.latency inst e) load) fe
+  let m = Array.length fe in
+  let el = Array.make m 0. in
+  Latency.eval_into (Instance.latencies inst) ~edges:(Array.init m Fun.id)
+    ~count:m fe el;
+  el
 
 let[@inline] path_sum ~offsets ~edges edge_latencies p =
   let acc = ref 0. in

@@ -53,11 +53,23 @@ val evacuate : Instance.t -> dead:(int -> bool) -> t -> int list
 
 (** {1 Observations} *)
 
+val edge_flows_into :
+  Instance.t -> t -> edges:int array -> count:int -> float array -> unit
+(** [edge_flows_into inst f ~edges ~count dst] sets [dst.(e)] to the
+    load [f_e = Σ_{P ∋ e} f_P] for the first [count] ids of [edges],
+    allocating nothing.  This is the only load gather: [f_e] is summed
+    from [0.] over the edge's {!Instance.edge_csr_paths} row in
+    ascending path index, skipping zero flows, so every caller sees
+    the same bits for the same edge.  Raises [Invalid_argument] if
+    [f] is not over the instance's path index. *)
+
 val edge_flows : Instance.t -> t -> float array
-(** Edge loads [f_e = Σ_{P ∋ e} f_P], indexed by edge id. *)
+(** Edge loads [f_e = Σ_{P ∋ e} f_P], indexed by edge id:
+    {!edge_flows_into} over {!Instance.used_edges}, [0.] elsewhere. *)
 
 val edge_latencies : Instance.t -> float array -> float array
-(** [edge_latencies inst fe] evaluates every edge latency at its load. *)
+(** [edge_latencies inst fe] evaluates every edge latency at its load
+    (through [Latency.eval_into]). *)
 
 val path_latency : Instance.t -> edge_latencies:float array -> int -> float
 (** Latency of one path given precomputed edge latencies. *)

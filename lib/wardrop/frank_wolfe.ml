@@ -14,9 +14,8 @@ type result = {
    [q] and moves mass from every used path [p] onto [q] until the two
    marginals balance (or [p] empties).  Loads are updated in place as
    mass moves, so later pairs see earlier moves.  Every sweep ends with
-   a fresh gather in [Flow.edge_flows]'s order, which yields the
-   objective (bitwise [Potential.phi]/[Social.cost]) and the stop
-   certificate. *)
+   a fresh [Flow.edge_flows_into] gather, which yields the objective
+   (bitwise [Potential.phi]/[Social.cost]) and the stop certificate. *)
 let minimize ?(max_iter = 10_000) ?(tol = 1e-8) ~term ~slope inst =
   let n = Instance.path_count inst in
   let m = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
@@ -28,6 +27,7 @@ let minimize ?(max_iter = 10_000) ?(tol = 1e-8) ~term ~slope inst =
   in
   let f = Flow.uniform inst in
   let load = Array.make m 0. and price = Array.make n 0. in
+  let used = Instance.used_edges inst in
   (* [on_q] and [on_p] mark the target and source paths' edges with the
      current stamp; [minus] lists P\Q and [plus] lists Q\P. *)
   let on_q = Array.make m (-1) and on_p = Array.make m (-1) in
@@ -136,22 +136,14 @@ let minimize ?(max_iter = 10_000) ?(tol = 1e-8) ~term ~slope inst =
           ps)
       commodities
   in
-  (* The canonical gather: edge loads summed in path order (as
-     [Flow.edge_flows]), [term] summed in edge order (as
+  (* Edge loads by [Flow.edge_flows_into] (unused edges stay 0: no
+     move touches them), [term] summed in edge order (as
      [Potential.phi]/[Social.cost]), and the certificate
      gap = Σ_P f_P (c_P − c_min,i), a sum of non-negative terms.  Given
      feasibility it equals the duality gap ⟨∇, f − br⟩ at the
      all-or-nothing vertex [br], so it bounds the suboptimality. *)
   let gather () =
-    Array.fill load 0 m 0.;
-    for p = 0 to n - 1 do
-      let fp = Vec.get f p in
-      if fp <> 0. then
-        for k = offsets.(p) to offsets.(p + 1) - 1 do
-          let e = edges.(k) in
-          load.(e) <- load.(e) +. fp
-        done
-    done;
+    Flow.edge_flows_into inst f ~edges:used ~count:(Array.length used) load;
     let objective = ref 0. in
     for e = 0 to m - 1 do
       objective := !objective +. term lat.(e) load.(e)

@@ -19,8 +19,8 @@
     the root.  Only [slope] is evaluated, so no second derivative is
     needed and the same loop serves [Φ] and the marginal social cost.
 
-    Every sweep ends with a fresh gather of the edge loads in
-    [Flow.edge_flows]'s order, with [term] summed over edges in index
+    Every sweep ends with a fresh gather of the edge loads by
+    [Flow.edge_flows_into], with [term] summed over edges in index
     order, so [objective] is bitwise [Potential.phi]/[Social.cost] of
     [flow].  The same gather yields the stop certificate
     [gap = Σ_P f_P (c_P − c_min,i)], a sum of non-negative terms.  On a

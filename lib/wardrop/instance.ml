@@ -6,7 +6,6 @@ type t = {
   latencies : Latency.t array;
   commodities : Commodity.t array;
   paths : Path.t array;
-  path_edges : int array array;
   commodity_of_path : int array;
   paths_of_commodity : int array array;
   local_index_of_path : int array;
@@ -36,12 +35,9 @@ let () =
 
 (* Transposed incidence (edge -> path CSR), derived from the path -> edge
    CSR by counting sort.  Each edge row lists the global indices of the
-   paths traversing it in {e ascending} order — that order is
-   load-bearing: a sparse per-edge flow re-gather
-   ([Bulletin_board.repost]) must accumulate path contributions in the
-   same p = 0,1,2,... order as the full [Flow.edge_flows] scan to stay
-   bitwise identical to it.  The counting sort below visits paths in
-   ascending order, so rows come out sorted by construction.  The
+   paths traversing it in {e ascending} order, the order
+   [Flow.edge_flows_into] sums it in.  The counting sort below visits
+   paths in ascending order, so rows come out sorted by construction.  The
    used-edge index (ascending ids of the non-empty rows) is counted in
    the counting pass and filled in the prefix-sum pass: no extra pass
    over the edges. *)
@@ -176,7 +172,6 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
           incr next)
         ps)
     per_commodity;
-  let path_edges = Array.map Path.edge_id_array paths in
   let local_index_of_path = Array.make path_count 0 in
   Array.iter
     (fun ps -> Array.iteri (fun j p -> local_index_of_path.(p) <- j) ps)
@@ -187,13 +182,15 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
      contiguous scan instead of chasing per-path arrays. *)
   let csr_offsets = Array.make (path_count + 1) 0 in
   Array.iteri
-    (fun p edges -> csr_offsets.(p + 1) <- csr_offsets.(p) + Array.length edges)
-    path_edges;
+    (fun p path -> csr_offsets.(p + 1) <- csr_offsets.(p) + Path.length path)
+    paths;
   let csr_edges = Array.make (max 1 csr_offsets.(path_count)) 0 in
   Array.iteri
-    (fun p edges ->
-      Array.iteri (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e) edges)
-    path_edges;
+    (fun p path ->
+      Array.iteri
+        (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e)
+        (Path.edge_id_array path))
+    paths;
   let edge_csr_offsets, edge_csr_paths, used_edges =
     transpose_csr ~edge_count:(Digraph.edge_count graph) ~path_count
       ~csr_offsets ~csr_edges
@@ -207,14 +204,14 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
   in
   let ell_max =
     Array.fold_left
-      (fun m edges ->
+      (fun m path ->
         let total =
           Array.fold_left
             (fun acc e -> acc +. Latency.max_value latencies.(e))
-            0. edges
+            0. (Path.edge_id_array path)
         in
         Float.max m total)
-      0. path_edges
+      0. paths
   in
   (* The stability analysis (and every step-size heuristic built on it)
      divides by these; an unbounded latency must be rejected here, not
@@ -228,7 +225,6 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
     latencies;
     commodities;
     paths;
-    path_edges;
     commodity_of_path;
     paths_of_commodity;
     local_index_of_path;
@@ -372,22 +368,17 @@ let extend t ~paths =
         if added_per_ci.(ci) <> [] then
           Array.iteri (fun j p -> local_index_of_path.(p) <- j) ps)
       paths_of_commodity;
-    let path_edges = Array.make n' t.path_edges.(0) in
-    Array.blit t.path_edges 0 path_edges 0 n;
-    for k = 0 to n_add - 1 do
-      path_edges.(n + k) <- Path.edge_id_array paths.(n + k)
-    done;
     let csr_offsets = Array.make (n' + 1) 0 in
     Array.blit t.csr_offsets 0 csr_offsets 0 (n + 1);
     for p = n to n' - 1 do
-      csr_offsets.(p + 1) <- csr_offsets.(p) + Array.length path_edges.(p)
+      csr_offsets.(p + 1) <- csr_offsets.(p) + Path.length paths.(p)
     done;
     let csr_edges = Array.make (max 1 csr_offsets.(n')) 0 in
     Array.blit t.csr_edges 0 csr_edges 0 t.csr_offsets.(n);
     for p = n to n' - 1 do
       Array.iteri
         (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e)
-        path_edges.(p)
+        (Path.edge_id_array paths.(p))
     done;
     let edge_csr_offsets, edge_csr_paths, used_edges =
       merge_transpose t ~n ~csr_offsets ~csr_edges
@@ -413,7 +404,6 @@ let extend t ~paths =
     {
       t with
       paths;
-      path_edges;
       commodity_of_path;
       paths_of_commodity;
       local_index_of_path;
@@ -451,9 +441,9 @@ let path t i =
   t.paths.(i)
 
 let path_edges t i =
-  if i < 0 || i >= Array.length t.path_edges then
+  if i < 0 || i >= Array.length t.paths then
     invalid_arg "Instance.path_edges: index out of range";
-  t.path_edges.(i)
+  Path.edge_id_array t.paths.(i)
 
 let commodity_of_path t i =
   if i < 0 || i >= Array.length t.commodity_of_path then

@@ -91,7 +91,8 @@ val path : t -> int -> Path.t
 (** Path by global index. *)
 
 val path_edges : t -> int -> int array
-(** Edge ids of a path (shared array — do not mutate). *)
+(** Edge ids of a path: [Path.edge_id_array (path t i)] (shared array —
+    do not mutate). *)
 
 val commodity_of_path : t -> int -> int
 val paths_of_commodity : t -> int -> int array
@@ -121,11 +122,8 @@ val edge_csr_offsets : t -> int array
 
 val edge_csr_paths : t -> int array
 (** Transposed CSR incidence, concatenated global path indices.  Each
-    edge's row is sorted in {e ascending} path order — the canonical
-    gather order: a sparse per-edge flow re-gather over this row
-    accumulates contributions in the same [p = 0,1,2,...] order as the
-    full [Flow.edge_flows] scan, which is what keeps
-    [Bulletin_board.repost] bitwise identical to a fresh post.
+    edge's row is sorted in {e ascending} path order, the order in
+    which [Flow.edge_flows_into], the one load gather, sums it.
     {!extend} preserves every old row as a prefix (new paths carry the
     largest indices).  Shared array — do not mutate. *)
 

@@ -77,3 +77,44 @@ let multicommodity_parallel m =
            Commodity.make ~src:st.Staleroute_graph.Gen.src
              ~dst:st.Staleroute_graph.Gen.dst ~demand:0.5))
     ()
+
+(* An independent reference for what a board posts, sharing no loop
+   with [Flow] or [Bulletin_board]: edge loads by a forward scatter over
+   each path's own edge list (ascending path index, zero flows
+   skipped), [Latency.eval] per edge (or the supplied latencies), and
+   each path latency summed over its edges from [0.].  The loads are
+   the ones [Flow.edge_flows] defines, so a board or a gather that
+   matches these arrays bit for bit matches a second implementation. *)
+let reference_edge_flows inst f =
+  let open Staleroute_wardrop in
+  let fe =
+    Array.make (Staleroute_graph.Digraph.edge_count (Instance.graph inst)) 0.
+  in
+  for p = 0 to Instance.path_count inst - 1 do
+    let fp = Staleroute_util.Vec.get f p in
+    if fp <> 0. then
+      Array.iter
+        (fun e -> fe.(e) <- fe.(e) +. fp)
+        (Staleroute_graph.Path.edge_id_array (Instance.path inst p))
+  done;
+  fe
+
+(* [(edge_latencies, path_latencies)] of the reference board. *)
+let reference_board ?edge_latencies inst f =
+  let open Staleroute_wardrop in
+  let el =
+    match edge_latencies with
+    | Some el -> Array.copy el
+    | None ->
+        Array.mapi
+          (fun e x -> Staleroute_latency.Latency.eval (Instance.latency inst e) x)
+          (reference_edge_flows inst f)
+  in
+  let pl =
+    Array.init (Instance.path_count inst) (fun p ->
+        Array.fold_left
+          (fun acc e -> acc +. el.(e))
+          0.
+          (Staleroute_graph.Path.edge_id_array (Instance.path inst p)))
+  in
+  (el, pl)

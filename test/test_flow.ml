@@ -89,6 +89,79 @@ let test_edge_flow_conservation () =
   in
   check_close ~eps:1e-9 "source outflow = demand" 1. out_src
 
+(* [Flow.edge_flows] against the forward-scatter reference in
+   [Helpers], bit for bit, on three kinds of input: random instances
+   (fixed topologies and layered DAGs with parallel edges), instances
+   grown column by column through [Instance.extend] (whose transpose is
+   merged, not rebuilt), and flows holding -0., 0. and NaN entries (a
+   -0. is skipped like 0.; a NaN is summed). *)
+let prop_edge_flows_match_reference =
+  let module Rng = Staleroute_util.Rng in
+  let module Gen = Staleroute_graph.Gen in
+  qcheck ~count:200 "qcheck: edge_flows = forward-scatter reference"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let r = Rng.create ~seed () in
+      let dag ~grown =
+        let st =
+          Gen.layered_skips ~skip_prob:0.3 ~rng:r ~layers:(2 + Rng.int r 3)
+            ~width:(2 + Rng.int r 2) ~edge_prob:0.6
+        in
+        let graph = with_parallel_edges r st.Gen.graph in
+        let latencies =
+          Array.init (Staleroute_graph.Digraph.edge_count graph) (fun j ->
+              Staleroute_latency.Latency.linear (1. +. float_of_int (j mod 3)))
+        in
+        let commodities =
+          [ Commodity.make ~src:st.Gen.src ~dst:st.Gen.dst ~demand:1. ]
+        in
+        let full = Instance.create ~graph ~latencies ~commodities () in
+        if not grown then full
+        else begin
+          let paths = Array.init (Instance.path_count full) (Instance.path full) in
+          Rng.shuffle r paths;
+          let inst =
+            ref
+              (Instance.of_paths ~graph ~latencies ~commodities
+                 ~paths:[| [ paths.(0) ] |] ())
+          and i = ref 1 in
+          while !i < Array.length paths do
+            let k = min (1 + Rng.int r 3) (Array.length paths - !i) in
+            inst :=
+              Instance.extend !inst
+                ~paths:(List.init k (fun j -> (0, paths.(!i + j))));
+            i := !i + k
+          done;
+          !inst
+        end
+      in
+      let inst =
+        match Rng.int r 3 with
+        | 0 ->
+            List.nth
+              [
+                Common.braess ();
+                Common.parallel 5;
+                Common.grid33 ();
+                Common.two_commodity ();
+              ]
+              (Rng.int r 4)
+        | 1 -> dag ~grown:false
+        | _ -> dag ~grown:true
+      in
+      let f =
+        if Rng.bool r then Flow.random inst r
+        else
+          Vec.init (Instance.path_count inst) (fun _ ->
+              match Rng.int r 4 with
+              | 0 -> -0.
+              | 1 -> 0.
+              | 2 -> Float.nan
+              | _ -> Rng.float r 1.)
+      in
+      let got = Flow.edge_flows inst f and want = reference_edge_flows inst f in
+      Array.length got = Array.length want && Array.for_all2 same_bits got want)
+
 let test_path_latencies_additive () =
   let inst = Common.braess () in
   let f = vec [| 0.2; 0.3; 0.5 |] in
@@ -287,6 +360,7 @@ let suite =
     case "projection in place" test_project_in_place_matches;
     case "edge flows (braess)" test_edge_flows_braess;
     case "edge flow conservation" test_edge_flow_conservation;
+    prop_edge_flows_match_reference;
     case "path latency additivity" test_path_latencies_additive;
     case "commodity aggregates" test_commodity_aggregates;
     case "multi-commodity averages" test_avg_respects_demand_scaling;

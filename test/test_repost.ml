@@ -37,6 +37,17 @@ let board_fields_equal (a : Bulletin_board.t) (b : Bulletin_board.t) =
        b.Bulletin_board.edge_latencies
   && a.Bulletin_board.clean = b.Bulletin_board.clean
 
+(* Every field of [b] against the independent reference board of
+   [flow] (or of the supplied latencies) in [Helpers], bit for bit, and
+   [clean] exactly when nothing was supplied. *)
+let matches_reference ?edge_latencies inst (b : Bulletin_board.t) ~time flow =
+  let el, pl = reference_board ?edge_latencies inst flow in
+  bits b.Bulletin_board.posted_at = bits time
+  && arr_bits_equal (Vec.to_array b.Bulletin_board.flow) (Vec.to_array flow)
+  && arr_bits_equal b.Bulletin_board.edge_latencies el
+  && arr_bits_equal b.Bulletin_board.path_latencies pl
+  && b.Bulletin_board.clean = Option.is_none edge_latencies
+
 let kernels_bitwise_equal inst a b flow =
   let n = Instance.path_count inst in
   let ok = ref true in
@@ -98,9 +109,9 @@ let transfer inst r flow =
     g
   end
 
-(* The tentpole property: a chain of delta reposts — alternating sparse
-   transfers and dense re-randomizations — produces boards bitwise
-   identical to fresh posts, and the changed sets it extracts drive
+(* A chain of delta reposts — alternating sparse transfers and dense
+   re-randomizations — produces boards bitwise identical to the
+   reference board of each flow, and the changed sets it extracts drive
    [Rate_kernel.update ?changed] to kernels bitwise identical to fresh
    builds. *)
 let prop_repost_matches_post =
@@ -122,7 +133,7 @@ let prop_repost_matches_post =
           let f0 = Flow.random inst r in
           let prev = ref (Bulletin_board.post inst ~time:0. f0) in
           let k = ref (Rate_kernel.build inst policy ~board:!prev) in
-          let ok = ref true in
+          let ok = ref (matches_reference inst !prev ~time:0. f0) in
           for i = 1 to 6 do
             let flow =
               if i mod 2 = 1 then
@@ -131,8 +142,7 @@ let prop_repost_matches_post =
             in
             let time = float_of_int i in
             let board = Bulletin_board.repost ~delta inst ~prev:!prev ~time flow in
-            let fresh = Bulletin_board.post inst ~time flow in
-            if not (board_fields_equal board fresh) then ok := false;
+            if not (matches_reference inst board ~time flow) then ok := false;
             if not (changed_set_exact !prev board delta) then ok := false;
             let changed =
               ( Bulletin_board.changed_paths delta,
@@ -156,9 +166,9 @@ let prop_repost_matches_post =
    boards through [repost ~edge_latencies]; a clean landing goes
    through plain [repost];
    a Drop leaves the old board and kernel in place).  Every landed
-   board must be bitwise identical to the fresh constructor it
-   shadows, and the changed sets must keep the update chain bitwise
-   equal to fresh builds. *)
+   board must be bitwise the reference board of its flow (clean) or of
+   its supplied latencies (unclean), and the changed sets must keep
+   the update chain bitwise equal to fresh builds. *)
 let prop_faulted_repost_matches_fresh =
   qcheck ~count:30 "qcheck: faulted repost chain = fresh constructors"
     QCheck2.Gen.(int_range 0 1_000_000)
@@ -190,15 +200,12 @@ let prop_faulted_repost_matches_fresh =
               Faults.board ~delta faults ~index:i fault inst ~time
                 ~prev:(Some !prev) flow
             in
-            let fresh =
-              if board.Bulletin_board.clean then
-                Bulletin_board.post inst ~time flow
-              else
-                Bulletin_board.post
-                  ~edge_latencies:board.Bulletin_board.edge_latencies inst
-                  ~time flow
+            let edge_latencies =
+              if board.Bulletin_board.clean then None
+              else Some board.Bulletin_board.edge_latencies
             in
-            if not (board_fields_equal board fresh) then ok := false;
+            if not (matches_reference ?edge_latencies inst board ~time flow)
+            then ok := false;
             if not (changed_set_exact !prev board delta) then ok := false;
             let changed =
               ( Bulletin_board.changed_paths delta,
@@ -216,8 +223,8 @@ let prop_faulted_repost_matches_fresh =
       !ok)
 
 (* The growth path: [repost_grown] over an [Instance.extend]ed index
-   must be bitwise identical to [post ~edge_latencies] of the previous
-   board's latencies over the grown index, share the
+   must post the reference path latencies of the previous board's
+   edge latencies over the grown index, share the
    previous board's edge-latency array physically (boards are
    immutable), and keep the subsequent repost chain exact. *)
 let prop_repost_grown_matches_post =
@@ -254,23 +261,20 @@ let prop_repost_grown_matches_post =
           let board = Bulletin_board.post inst ~time:0.25 flow in
           let n' = Instance.path_count inst' in
           let grown = Bulletin_board.repost_grown inst' ~prev:board in
-          let reference =
-            Bulletin_board.post
-              ~edge_latencies:board.Bulletin_board.edge_latencies inst'
-              ~time:board.Bulletin_board.posted_at
-              (Vec.extend board.Bulletin_board.flow ~dim:n')
+          let extended = Vec.extend board.Bulletin_board.flow ~dim:n' in
+          let _, reference =
+            reference_board ~edge_latencies:board.Bulletin_board.edge_latencies
+              inst' extended
           in
-          (* Supplied latencies mark the board unclean; a grown clean board stays clean
-             (nothing about the latencies changed), so compare the
-             arrays, not the flag, against the reference — and pin the
-             flag against the previous board separately. *)
+          (* A grown clean board stays clean (nothing about the
+             latencies changed): pin the flag against the previous
+             board. *)
           bits grown.Bulletin_board.posted_at
-          = bits reference.Bulletin_board.posted_at
+          = bits board.Bulletin_board.posted_at
           && arr_bits_equal
                (Vec.to_array grown.Bulletin_board.flow)
-               (Vec.to_array reference.Bulletin_board.flow)
-          && arr_bits_equal grown.Bulletin_board.path_latencies
-               reference.Bulletin_board.path_latencies
+               (Vec.to_array extended)
+          && arr_bits_equal grown.Bulletin_board.path_latencies reference
           && grown.Bulletin_board.edge_latencies
              == board.Bulletin_board.edge_latencies
           && grown.Bulletin_board.clean = board.Bulletin_board.clean
@@ -281,7 +285,7 @@ let prop_repost_grown_matches_post =
           let next =
             Bulletin_board.repost ~delta inst' ~prev:grown ~time:0.5 flow'
           in
-          board_fields_equal next (Bulletin_board.post inst' ~time:0.5 flow')
+          matches_reference inst' next ~time:0.5 flow'
           && changed_set_exact grown next delta)
 
 (* The transposed incidence is the exact inverse image of the forward
@@ -341,8 +345,8 @@ let test_restore_cleanliness () =
 
 let test_unclean_prev_recomputes_in_full () =
   (* From an unclean previous board the sparse gather is unsound (its
-     latencies are not the ones its flow induces); repost must fall
-     back to the full recompute — and still produce the fresh post. *)
+     latencies are not the ones its flow induces); repost must dirty
+     every edge — and still post the reference board. *)
   let inst = Common.grid33 () in
   let r = rng () in
   let f = Flow.random inst r in
@@ -356,11 +360,13 @@ let test_unclean_prev_recomputes_in_full () =
   let delta = Bulletin_board.delta () in
   let g = transfer inst r f in
   let board = Bulletin_board.repost ~delta inst ~prev ~time:1. g in
-  check_true "repost from unclean prev = fresh post"
-    (board_fields_equal board (Bulletin_board.post inst ~time:1. g));
+  check_true "repost from unclean prev = reference board"
+    (matches_reference inst board ~time:1. g);
   check_int "unclean prev dirties every edge"
     (Array.length board.Bulletin_board.edge_latencies)
-    (Bulletin_board.dirty_edges delta)
+    (Bulletin_board.dirty_edges delta);
+  check_int "unclean prev dirties every path" (Instance.path_count inst)
+    (Bulletin_board.dirty_paths delta)
 
 let test_sparse_dirty_counts () =
   (* On parallel links a two-path transfer touches exactly two edges
@@ -377,16 +383,16 @@ let test_sparse_dirty_counts () =
   check_int "two dirty edges" 2 (Bulletin_board.dirty_edges delta);
   check_int "two dirty paths" 2 (Bulletin_board.dirty_paths delta);
   check_int "two changed paths" 2 (Bulletin_board.changed_count delta);
-  check_true "still bitwise fresh"
-    (board_fields_equal board (Bulletin_board.post inst ~time:1. g));
+  check_true "still the reference board"
+    (matches_reference inst board ~time:1. g);
   (* An identical re-post is an empty delta. *)
   let again = Bulletin_board.repost ~delta inst ~prev:board ~time:2. g in
   check_int "no dirty edges on identical flow" 0
     (Bulletin_board.dirty_edges delta);
   check_int "no changed paths on identical flow" 0
     (Bulletin_board.changed_count delta);
-  check_true "identical re-post still bitwise fresh"
-    (board_fields_equal again (Bulletin_board.post inst ~time:2. g));
+  check_true "identical re-post still the reference board"
+    (matches_reference inst again ~time:2. g);
   (* Two commodities over 200 shared links: still two edges. *)
   let big = multicommodity_parallel 200 in
   let f = Flow.uniform big in
@@ -434,7 +440,7 @@ let test_delta_resizes_across_instances () =
       let g = transfer inst r f in
       let board = Bulletin_board.repost ~delta inst ~prev ~time:1. g in
       check_true "reused scratch stays exact"
-        (board_fields_equal board (Bulletin_board.post inst ~time:1. g)))
+        (matches_reference inst board ~time:1. g))
     (instances () @ List.rev (instances ()))
 
 let test_repost_validation () =
