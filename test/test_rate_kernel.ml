@@ -638,22 +638,32 @@ let update_words kernel (a, b) =
       flip := not !flip;
       ignore (Rate_kernel.update kernel ~board:(if !flip then a else b)))
 
+let test_update_allocation_bounded () =
+  match Sys.backend_type with
+  | Sys.Native ->
+      let inst = multicommodity_parallel 20 in
+      let policy = Policy.uniform_linear inst in
+      let flow = Flow.uniform inst in
+      let board = Bulletin_board.post inst ~time:0. flow in
+      (* Shares that differ from [flow] on every path: a uniform
+         rescale would project straight back to [flow]. *)
+      let shifted =
+        Flow.project inst
+          (Vec.init (Instance.path_count inst) (fun i ->
+               Vec.get flow i *. (1. +. (0.01 *. float_of_int (1 + (i mod 3))))))
+      in
+      let board2 = Bulletin_board.post inst ~time:1e-3 shifted in
+      check_close "update: 0 minor words per call" 0.
+        (update_words (Rate_kernel.build inst policy ~board) (board2, board))
+  | _ -> ()
+
 let test_reordering_update_allocation_free () =
   let inst = multicommodity_parallel 20 in
   let policy = Policy.uniform_linear inst in
-  let flow = Flow.uniform inst in
-  let board = Bulletin_board.post inst ~time:0. flow in
+  let board = Bulletin_board.post inst ~time:0. (Flow.uniform inst) in
   let rboard =
     Bulletin_board.post inst ~time:2e-3 (Flow.random inst (rng ~seed:3 ()))
   in
-  (* Shares that differ from [flow] on every path: a uniform rescale
-     would project straight back to [flow]. *)
-  let shifted =
-    Flow.project inst
-      (Vec.init (Instance.path_count inst) (fun i ->
-           Vec.get flow i *. (1. +. (0.01 *. float_of_int (1 + (i mod 3))))))
-  in
-  let sboard = Bulletin_board.post inst ~time:1e-3 shifted in
   (* Pairs of one commodity's paths whose posted order the two boards
      disagree on. *)
   let inversions =
@@ -674,8 +684,6 @@ let test_reordering_update_allocation_free () =
   check_int "reorder inversions" 48 inversions;
   match Sys.backend_type with
   | Sys.Native ->
-      check_close "update: 0 minor words per call" 0.
-        (update_words (Rate_kernel.build inst policy ~board) (sboard, board));
       check_close "reordering update: 0 minor words per call" 0.
         (update_words (Rate_kernel.build inst policy ~board) (rboard, board))
   | _ -> ()
@@ -739,6 +747,7 @@ let suite =
     case "in-place integrator bit-identical" test_integrate_into_matches_integrate;
     case "driver end-to-end vs reference" test_driver_matches_reference_integration;
     case "euler path allocation-free" test_euler_path_allocation_free;
+    case "update allocation bounded" test_update_allocation_bounded;
     case "reordering update allocation-free"
       test_reordering_update_allocation_free;
     case "faulted repost allocation bounded"
