@@ -24,8 +24,7 @@ let kind_of_event ev =
   | Json.Obj (("ev", Json.String k) :: _) -> k
   | _ -> assert false
 
-(* Sim-time of an event; [Round] events carry only an index, which
-   serves as their time axis (one round = one time unit). *)
+(* Sim-time of an event. *)
 let time_of_event = function
   | Probe.Phase_start { time; _ }
   | Probe.Phase_end { time; _ }
@@ -40,7 +39,6 @@ let time_of_event = function
   | Probe.Guard_trip { time; _ }
   | Probe.Note { time; _ } ->
       time
-  | Probe.Round { index; _ } -> float_of_int index
 
 let summary file =
   let meta, events = read_events file in
@@ -107,7 +105,7 @@ let summary_cmd =
   Cmd.v
     (Cmd.info "summary"
        ~doc:
-         "Schema and event counts plus the end-of-run report (phase/round \
+         "Schema and event counts plus the end-of-run report (phase \
           tallies, growth/fault/guard counts, per-phase delta-phi and \
           virtual-gain statistics, potential sparkline).")
     Term.(const summary $ file_arg 0 "Trace to summarize.")
@@ -129,7 +127,7 @@ let query_cmd =
       & info [ "e"; "event" ] ~docv:"KIND"
           ~doc:
             "Keep only events of this kind (repeatable): phase_start, \
-             phase_end, board_repost, kernel_rebuild, step_batch, round, \
+             phase_end, board_repost, kernel_rebuild, step_batch, \
              agent_wake, path_growth, fault, edge_down, edge_up, guard_trip, \
              note.")
   in
@@ -147,7 +145,7 @@ let query_cmd =
     (Cmd.info "query"
        ~doc:
          "Filter a trace by event kind and sim-time range; matching events \
-          are re-printed as JSONL (round events use their index as time).")
+          are re-printed as JSONL.")
     Term.(const query $ file_arg 0 "Trace to filter." $ kinds $ t_from $ t_to)
 
 let diff_cmd =

@@ -69,22 +69,22 @@ let restore inst policy b =
   in
   { board; kernel = Rate_kernel.build inst policy ~board }
 
-let fail who msg = invalid_arg (who ^ ": " ^ msg)
+let fail msg = invalid_arg ("Driver.run: " ^ msg)
 
 let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
-    ?(faults = Faults.plan Faults.none) ?guard ?colgen ?resume ~who ~phases
+    ?(faults = Faults.plan Faults.none) ?guard ?colgen ?resume ~phases
     ~steps inst policy ~init =
-  if phases < 0 then fail who "negative run length";
-  if steps < 1 then fail who "fewer than one step per update";
+  if phases < 0 then fail "negative run length";
+  if steps < 1 then fail "fewer than one step per update";
   (match colgen with
   | Some cg when not (Path_pool.instance cg == inst) ->
-      fail who "colgen pool was seeded over a different instance"
+      fail "colgen pool was seeded over a different instance"
   | _ -> ());
   let active, grown, first, f0 =
     match resume with
     | None ->
         if not (Flow.is_feasible inst init) then
-          fail who "infeasible initial flow";
+          fail "infeasible initial flow";
         let sp = Span.enter spans "project" in
         let f0 = Flow.project inst init in
         Span.exit spans sp;
@@ -98,12 +98,12 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
           match (r.grown_paths, colgen) with
           | [], _ -> inst
           | _ :: _, None ->
-              fail who
+              fail
                 "snapshot records grown paths but no colgen pool was supplied"
           | gps, Some cg -> Path_pool.replay cg ~grown:gps
         in
         if Vec.dim r.start_flow <> Instance.path_count active then
-          fail who "snapshot flow has wrong dimension";
+          fail "snapshot flow has wrong dimension";
         (active, List.rev r.grown_paths, r.next_index, Vec.copy r.start_flow)
   in
   let b =
@@ -152,11 +152,6 @@ let live b =
   match b.live with
   | Some l -> l
   | None -> invalid_arg "Boundary: no board posted yet"
-
-let kernel b =
-  let l = live b in
-  assert (Rate_kernel.is_current l.kernel ~board:l.board);
-  l.kernel
 
 let widen b f =
   let n = Instance.path_count b.inst in
@@ -334,7 +329,8 @@ let grow b ~index ~time f =
           Vec.extend f ~dim:n')
 
 let integrate b scheme ~t0 ~tau ~steps f =
-  let kernel = kernel b in
+  let { board; kernel } = live b in
+  assert (Rate_kernel.is_current kernel ~board);
   let sp = Span.enter b.spans "integrate" in
   Integrator.integrate_phase_into ~probe:b.probe ~t0 scheme b.inst ~pool:b.pool
     ~deriv_into:(Rate_kernel.flow_derivative_into kernel)

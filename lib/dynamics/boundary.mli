@@ -1,5 +1,5 @@
 (** The update boundary: everything that lives across bulletin-board
-    re-posts, shared by {!Driver}, {!Trajectory} and {!Discrete}.
+    re-posts, for {!Driver.run}.
 
     Agents act on a board that is re-posted only at update boundaries
     ([t̂ = ⌊t/T⌋·T], Eq. 3).  An engine owns the live posting (the board
@@ -7,20 +7,19 @@
     the active instance with its column-generation pool and admitted
     columns, the integrator's scratch pool sized to the active
     dimension, and the outage chain with its current down-set.  The
-    drivers keep only their time grids and call, at every update
-    boundary and in this order:
+    driver keeps only its time grid and calls, at every update boundary
+    and in this order:
 
     + {!outage} — advance the edge-failure chain and evacuate dead
       paths, before anything is posted;
     + {!attempt} — the update's (possibly faulted) re-post;
     + {!grow} — column-generation pricing against the posting now live;
 
-    then {!post} where a delayed re-post lands, {!integrate} or
-    {!kernel} inside the update period, and {!guard_check} at each
-    recorded boundary.  Every board post or repost, kernel compile or
-    grow, fault, outage transition and path growth is announced here —
-    probe events, metrics and spans alike — so the three drivers emit
-    identical event sequences for identical boundary calls. *)
+    then {!post} where a delayed re-post lands, {!integrate} inside the
+    update period, and {!guard_check} at each recorded boundary.  Every
+    board post or repost, kernel compile or grow, fault, outage
+    transition and path growth is announced here — probe events,
+    metrics and spans alike. *)
 
 open Staleroute_wardrop
 
@@ -50,7 +49,6 @@ val create :
   ?guard:Guard.t ->
   ?colgen:Path_pool.t ->
   ?resume:resume ->
-  who:string ->
   phases:int ->
   steps:int ->
   Instance.t ->
@@ -59,8 +57,8 @@ val create :
   t * Flow.t
 (** An engine with nothing posted yet, and the run's starting flow.
 
-    Validates the run, raising [Invalid_argument "<who>: ..."] when
-    [phases < 0], [steps < 1] (steps, chunks or rounds per update),
+    Validates the run, raising [Invalid_argument "Driver.run: ..."]
+    when [phases < 0], [steps < 1] (integrator steps per update),
     [colgen] was seeded over another instance than the given one, or —
     without [resume] — [init] is infeasible.  The starting flow is then
     [init] projected under a ["project"] span.  With [resume] it is a
@@ -106,9 +104,8 @@ val attempt : t -> index:int -> time:float -> slots:int -> Flow.t -> attempt
     nothing to lean on: they degrade to a clean post and emit nothing. *)
 
 val post : t -> time:float -> Flow.t -> unit
-(** A clean post of the flow: a delayed re-post landing, or the
-    explicit first post of a driver that needs one before its first
-    update.  Delta-reposts over the live board when there is one. *)
+(** A clean post of the flow, where a delayed re-post lands.
+    Delta-reposts over the live board when there is one. *)
 
 val grow : t -> index:int -> time:float -> Flow.t -> Flow.t
 (** Column generation at update [index]: price the live board's edge
@@ -125,11 +122,9 @@ val integrate :
   t -> Integrator.scheme -> t0:float -> tau:float -> steps:int -> Flow.t -> unit
 (** Advance the flow in place by [tau] in [steps] steps against the live
     kernel, under an ["integrate"] span — the allocation-free
-    {!Integrator.integrate_phase_into} over the engine's scratch pool. *)
-
-val kernel : t -> Rate_kernel.t
-(** The live kernel.  Asserts it is current for the live board.
-    Raises [Invalid_argument] before the first posting. *)
+    {!Integrator.integrate_phase_into} over the engine's scratch pool.
+    Asserts the kernel is current for the live board; raises
+    [Invalid_argument] before the first posting. *)
 
 val instance : t -> Instance.t
 (** The active instance: the input instance unless [colgen] grew it. *)

@@ -58,3 +58,55 @@ let is_oscillating ?tail ?(tol = 1e-3) snapshots =
      precisely than it moves in one round, and it genuinely moves. *)
   o.step_distance > tol
   && o.period2_distance <= 0.01 *. o.step_distance
+
+let potential_gap ?phi_star (r : Driver.result) =
+  let phi_star =
+    match phi_star with
+    | Some v -> v
+    | None -> (Frank_wolfe.equilibrium r.final_instance).Frank_wolfe.objective
+  in
+  let n = Array.length r.records in
+  (* The final sample sits where the last phase ends, on the same clock
+     as its [Phase_end] event. *)
+  let final_time =
+    if n = 0 then 0.
+    else r.records.(n - 1).start_time +. Driver.phase_length r.config
+  in
+  Array.init (n + 1) (fun k ->
+      if k < n then
+        let p = r.records.(k) in
+        (p.start_time, p.start_potential -. phi_star)
+      else (final_time, r.final_potential -. phi_star))
+
+let fit_exponential_rate points =
+  let usable =
+    Array.of_list
+      (List.filter_map
+         (fun (t, y) -> if y > 0. then Some (t, log y) else None)
+         (Array.to_list points))
+  in
+  let n = Array.length usable in
+  if n < 2 then None
+  else begin
+    let nf = float_of_int n in
+    let sum sel = Staleroute_util.Numerics.sum_by sel usable in
+    let st = sum fst and sy = sum snd in
+    let stt = sum (fun (t, _) -> t *. t) in
+    let sty = sum (fun (t, y) -> t *. y) in
+    let denom = (nf *. stt) -. (st *. st) in
+    if denom <= 0. then None
+    else Some (-.(((nf *. sty) -. (st *. sy)) /. denom))
+  end
+
+let time_to_threshold points ~threshold =
+  let n = Array.length points in
+  let rec scan i candidate =
+    if i >= n then candidate
+    else begin
+      let t, y = points.(i) in
+      if y <= threshold then
+        scan (i + 1) (match candidate with None -> Some t | some -> some)
+      else scan (i + 1) None
+    end
+  in
+  scan 0 None

@@ -147,8 +147,8 @@ let run ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
   in
   let b, f0 =
     Boundary.create ~probe ~metrics ~spans ?faults ?guard ?colgen ?resume
-      ~who:"Driver.run" ~phases:config.phases ~steps:config.steps_per_phase
-      inst config.policy ~init
+      ~phases:config.phases ~steps:config.steps_per_phase inst config.policy
+      ~init
   in
   let derivs = Metrics.counter metrics "derivative_evals" in
   let stage = Integrator.stage_evals config.scheme in

@@ -9,7 +9,7 @@
     independent of pool width, scheduling, or how many draws earlier
     phases made.
 
-    Fault semantics (applied by [Driver] / [Trajectory] / [Discrete]):
+    Fault semantics (applied by {!Driver.run} through {!Boundary}):
 
     - {b Drop}: the re-post is lost; the previous board survives the
       phase boundary, agents act on doubly-stale information, and the

@@ -2,27 +2,18 @@ open Staleroute_dynamics
 module Table = Staleroute_util.Table
 
 let rate inst policy staleness ~phases =
-  let config =
-    {
-      Driver.policy;
-      staleness;
-      phases;
-      steps_per_phase = 10;
-      scheme = Integrator.Rk4;
-    }
+  let result =
+    Common.run inst policy staleness ~phases ~steps_per_phase:10
+      ~init:(Common.biased_start inst) ()
   in
-  let trajectory =
-    Trajectory.record inst config ~init:(Common.biased_start inst)
-      ~samples_per_phase:2
-  in
-  let gap = Trajectory.potential_gap inst trajectory in
+  let gap = Convergence.potential_gap result in
   (* Fit on the portion that is clearly above float noise. *)
   let fitting =
     Array.of_list
       (List.filter (fun (_, y) -> y > 1e-12) (Array.to_list gap))
   in
-  (Trajectory.fit_exponential_rate fitting,
-   Trajectory.time_to_threshold gap ~threshold:1e-3)
+  (Convergence.fit_exponential_rate fitting,
+   Convergence.time_to_threshold gap ~threshold:1e-3)
 
 let tables ?(quick = false) () =
   let table =

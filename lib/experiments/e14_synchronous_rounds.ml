@@ -16,20 +16,23 @@ let continuous_outcome inst kappa ~phases =
   ( Equilibrium.unsatisfied_volume inst result.Driver.final_flow ~delta:0.05,
     Convergence.is_oscillating snapshots )
 
+(* A synchronous round moves every agent at once: the fluid ODE
+   integrated by one Euler step of h = 1 on the board posted at the
+   round's start. *)
 let synchronous_outcome inst kappa ~phases =
   let config =
-    { Discrete.policy = policy_for inst kappa; rounds = phases;
-      rounds_per_update = 1 }
+    {
+      Driver.policy = policy_for inst kappa;
+      staleness = Driver.Stale 1.;
+      phases;
+      steps_per_phase = 1;
+      scheme = Integrator.Euler;
+    }
   in
-  let result = Discrete.run inst config ~init:(Common.biased_start inst) in
-  let snapshots =
-    Array.append
-      (Array.map (fun r -> r.Discrete.start_flow) result.Discrete.records)
-      [| result.Discrete.final_flow |]
-  in
-  ( Equilibrium.unsatisfied_volume inst result.Discrete.final_flow
+  let result = Driver.run inst config ~init:(Common.biased_start inst) in
+  ( Equilibrium.unsatisfied_volume inst result.Driver.final_flow
       ~delta:0.05,
-    Convergence.is_oscillating snapshots )
+    Convergence.is_oscillating (Common.phase_start_flows result) )
 
 let tables ?(quick = false) () =
   let phases = if quick then 150 else 600 in

@@ -10,7 +10,6 @@ type event =
   | Board_repost of { time : float }
   | Kernel_rebuild of { time : float }
   | Step_batch of { time : float; scheme : string; steps : int; tau : float }
-  | Round of { index : int; potential : float }
   | Agent_wake of {
       time : float;
       agent : int;

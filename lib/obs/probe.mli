@@ -36,8 +36,6 @@ type event =
       steps : int;
       tau : float;  (** total simulated time the batch advances *)
     }  (** one [integrate_phase_into] call (a batch of ODE steps). *)
-  | Round of { index : int; potential : float }
-      (** one synchronous round of the discrete dynamics. *)
   | Agent_wake of {
       time : float;
       agent : int;
@@ -47,7 +45,7 @@ type event =
     }  (** one Poisson activation in the finite-population simulator. *)
   | Path_growth of {
       time : float;
-      index : int;  (** phase (or update round) whose posting priced it *)
+      index : int;  (** phase whose posting priced it *)
       commodity : int;
       cost : float;  (** posted latency of the admitted column *)
       incumbent : float;  (** cheapest active posted latency it undercut *)
@@ -61,21 +59,21 @@ type event =
           and costs, not the edge list — paths are recoverable from the
           seed + admission order, which checkpoints record. *)
   | Fault_injected of { time : float; index : int; kind : string; arg : float }
-      (** a bulletin-board fault fired at phase (or update round)
-          [index]: [kind] is ["drop"], ["delay"], ["partial"] or
-          ["noise"], [arg] the fault parameter (delay fraction, refresh
-          fraction, noise sigma; [0.] for drops).  Stamped with sim
-          time like every other event. *)
+      (** a bulletin-board fault fired at update [index] (the phase
+          index, or phase × steps + step under fresh information):
+          [kind] is ["drop"], ["delay"], ["partial"] or ["noise"],
+          [arg] the fault parameter (delay fraction, refresh fraction,
+          noise sigma; [0.] for drops).  Stamped with sim time like
+          every other event. *)
   | Edge_down of { time : float; index : int; edge : int }
-      (** the outage plan killed [edge] at phase (or update round)
-          [index] — the board will post it at [Faults.dead_latency]
-          until it recovers. *)
+      (** the outage plan killed [edge] at phase [index] — the board
+          will post it at [Faults.dead_latency] until it recovers. *)
   | Edge_up of { time : float; index : int; edge : int }
       (** the outage plan repaired [edge]; the next landing post shows
           its true latency again. *)
   | Guard_trip of {
       time : float;
-      index : int;  (** phase or round index of the boundary check *)
+      index : int;  (** phase index of the boundary check *)
       action : string;
           (** ["repair"], ["ignore"], or ["partition"] (an outage left
               a commodity with no surviving path — not repairable, so

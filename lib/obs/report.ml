@@ -9,7 +9,6 @@ let of_events ?snapshot events = { events; snapshot }
 let count t pred = Array.fold_left (fun n e -> if pred e then n + 1 else n) 0 t.events
 
 let phases t = count t (function Probe.Phase_start _ -> true | _ -> false)
-let rounds t = count t (function Probe.Round _ -> true | _ -> false)
 
 let board_reposts t =
   count t (function Probe.Board_repost _ -> true | _ -> false)
@@ -57,31 +56,17 @@ let migrations t =
 
 let potential_series t =
   let starts = ref [] in
-  let last_end = ref None in
+  let last_end = ref [] in
   Array.iter
     (fun ev ->
       match ev with
       | Probe.Phase_start { time; potential; _ } ->
           starts := (time, potential) :: !starts
       | Probe.Phase_end { time; potential; _ } ->
-          last_end := Some (time, potential)
+          last_end := [ (time, potential) ]
       | _ -> ())
     t.events;
-  match (!starts, !last_end) with
-  | [], None ->
-      (* Discrete-dynamics traces carry Round events instead. *)
-      let out = ref [] in
-      Array.iter
-        (fun ev ->
-          match ev with
-          | Probe.Round { index; potential } ->
-              out := (float_of_int index, potential) :: !out
-          | _ -> ())
-        t.events;
-      Array.of_list (List.rev !out)
-  | starts, last_end ->
-      let tail = match last_end with None -> [] | Some p -> [ p ] in
-      Array.of_list (List.rev_append starts tail)
+  Array.of_list (List.rev_append !starts !last_end)
 
 let delta_phi_series t =
   let out = ref [] in
@@ -121,7 +106,6 @@ let to_string t =
   in
   let add name n = if n > 0 then Table.add_row summary [ name; string_of_int n ] in
   add "phases" (phases t);
-  add "rounds" (rounds t);
   add "board reposts" (board_reposts t);
   add "kernel rebuilds" (kernel_rebuilds t);
   add "integrator step batches" (step_batches t);

@@ -15,7 +15,6 @@ val of_events : ?snapshot:Metrics.snapshot -> Probe.event array -> t
 val phases : t -> int
 (** Number of [Phase_start] events. *)
 
-val rounds : t -> int
 val board_reposts : t -> int
 val kernel_rebuilds : t -> int
 val step_batches : t -> int
@@ -48,10 +47,9 @@ val fault_kind_counts : t -> (string * int) list
 (** {1 Derived series} *)
 
 val potential_series : t -> (float * float) array
-(** [(time, Φ)] at every phase start plus the final phase end — exactly
-    the sampling grid of {!Staleroute_dynamics.Trajectory.record} with
-    one sample per phase.  Falls back to [Round] events (round index as
-    time) for discrete-dynamics traces. *)
+(** [(time, Φ)] at every phase start plus the final phase end: the
+    series {!Staleroute_dynamics.Convergence.potential_gap} reads off a
+    driver result with [phi_star = 0.]. *)
 
 val delta_phi_series : t -> float array
 (** Per-phase [ΔΦ] in phase order (from [Phase_end] events). *)

@@ -31,13 +31,6 @@ let event_to_json = function
           ("steps", Json.Int steps);
           ("tau", Json.Float tau);
         ]
-  | Probe.Round { index; potential } ->
-      Json.Obj
-        [
-          ("ev", Json.String "round");
-          ("index", Json.Int index);
-          ("phi", Json.Float potential);
-        ]
   | Probe.Agent_wake { time; agent; from_path; to_path; migrated } ->
       Json.Obj
         [
@@ -144,10 +137,6 @@ let event_of_json json =
       let* steps = field "steps" Json.to_int json in
       let* tau = field "tau" Json.to_float json in
       Ok (Probe.Step_batch { time; scheme; steps; tau })
-  | "round" ->
-      let* index = field "index" Json.to_int json in
-      let* potential = field "phi" Json.to_float json in
-      Ok (Probe.Round { index; potential })
   | "agent_wake" ->
       let* time = time_field json in
       let* agent = field "agent" Json.to_int json in

@@ -118,3 +118,43 @@ let reference_board ?edge_latencies inst f =
           (Staleroute_graph.Path.edge_id_array (Instance.path inst p)))
   in
   (el, pl)
+
+(* Synchronous Bertsekas–Tsitsiklis rounds as a [Driver] run: every
+   round is one Euler step of h = 1 on the posted board, and the board
+   is re-posted every [per_update] rounds (one phase of [per_update]
+   steps). *)
+let rounds_config ?(per_update = 1) policy ~updates =
+  let open Staleroute_dynamics in
+  {
+    Driver.policy;
+    staleness = Driver.Stale (float_of_int per_update);
+    phases = updates;
+    steps_per_phase = per_update;
+    scheme = Integrator.Euler;
+  }
+
+(* The same rounds written out by hand, sharing no loop with [Driver],
+   [Boundary] or [Integrator]: every [per_update] rounds a board is
+   posted over the current flow and its kernel built; every round
+   [f <- project_ (f + d(f))].  Returns the flow at every update start,
+   then the final flow. *)
+let reference_rounds ?(per_update = 1) inst policy ~updates init =
+  let open Staleroute_wardrop in
+  let open Staleroute_dynamics in
+  let module Vec = Staleroute_util.Vec in
+  let f = ref (Flow.project inst init) in
+  let starts = ref [] in
+  let kernel = ref None in
+  for k = 0 to (updates * per_update) - 1 do
+    if k mod per_update = 0 then begin
+      starts := Vec.copy !f :: !starts;
+      let board = Bulletin_board.post inst ~time:(float_of_int k) !f in
+      kernel := Some (Rate_kernel.build inst policy ~board)
+    end;
+    let d = Rate_kernel.flow_derivative (Option.get !kernel) !f in
+    let g = Vec.copy !f in
+    Vec.axpy ~alpha:1. ~x:d ~y:g;
+    Flow.project_ inst g;
+    f := g
+  done;
+  Array.of_list (List.rev (!f :: !starts))

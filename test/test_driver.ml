@@ -187,8 +187,50 @@ let prop_lemma4_on_random_instances =
           && rec_.Driver.delta_phi <= (rec_.Driver.virtual_gain /. 2.) +. 1e-9)
         r.Driver.records)
 
+(* Synchronous rounds pinned against the hand-written reference loop,
+   bit for bit at every phase start and at the end: a synchronous round
+   is the stale dynamics integrated by one Euler step of h = 1. *)
+let test_rounds_match_reference () =
+  let check name inst policy ~per_update ~updates =
+    let init = Common.biased_start inst in
+    let r =
+      Driver.run inst (rounds_config ~per_update policy ~updates) ~init
+    in
+    let expected = reference_rounds ~per_update inst policy ~updates init in
+    let got = Common.phase_start_flows r in
+    check_int (name ^ ": snapshot count") (Array.length expected)
+      (Array.length got);
+    Array.iteri
+      (fun k f ->
+        check_true
+          (Printf.sprintf "%s: snapshot %d bit-identical" name k)
+          (Array.for_all2 same_bits (Vec.to_array f)
+             (Vec.to_array got.(k))))
+      expected
+  in
+  let two_link = Common.two_link ~beta:4. in
+  List.iter
+    (fun kappa ->
+      let policy =
+        Policy.make ~sampling:Sampling.Uniform
+          ~migration:
+            (Migration.Scaled_linear
+               { alpha = kappa /. Instance.ell_max two_link })
+      in
+      List.iter
+        (fun per_update ->
+          check
+            (Printf.sprintf "two-link kappa=%g r=%d" kappa per_update)
+            two_link policy ~per_update ~updates:(40 / per_update))
+        [ 1; 3 ])
+    [ 0.5; 1.; 4.; 16. ];
+  let braess = Common.braess () in
+  check "braess replicator r=4" braess (Policy.replicator braess)
+    ~per_update:4 ~updates:10
+
 let suite =
   [
+    case "synchronous rounds = reference loop" test_rounds_match_reference;
     case "run shape" test_run_shape;
     case "fresh = tiny-T limit" test_fresh_tracks_tiny_stale;
     prop_mass_conserved_along_runs;

@@ -358,7 +358,7 @@ let test_dead_helpers () =
         check_close "alive pricing weights unchanged" clean.(e) v)
     pricing
 
-(* --- Zero-rate outage is bitwise inert across all three drivers ---
+(* --- Zero-rate outage is bitwise inert: RK4 phases, synchronous rounds ---
 
    A plan whose outage rate is zero must take exactly the clean code
    path, whatever its mttr/seed parameters say: traces and final flows
@@ -408,40 +408,16 @@ let test_zero_rate_inert_driver () =
         (bits_equal clean.Driver.final_flow zero.Driver.final_flow))
     [ Driver.Stale 0.25; Driver.Fresh ]
 
-let test_zero_rate_inert_trajectory () =
-  let inst = Common.two_link ~beta:4. in
-  let run faults =
-    let buf = Probe.Memory.create () in
-    let t =
-      Trajectory.record ?faults
-        ~probe:(Probe.Memory.probe buf)
-        inst
-        (smooth_config inst (Driver.Stale 0.25))
-        ~init:(Common.biased_start inst) ~samples_per_phase:3
-    in
-    (Trace_export.events_to_string (Probe.Memory.events buf), t)
-  in
-  let clean_trace, clean = run None in
-  let zero_trace, zero = run (Some (zero_rate_plan ())) in
-  check_true "trace byte-identical" (String.equal clean_trace zero_trace);
-  check_int "same sample count" (Array.length clean) (Array.length zero);
-  Array.iteri
-    (fun i s ->
-      check_true "sampled flow bit-identical"
-        (bits_equal s.Trajectory.flow zero.(i).Trajectory.flow))
-    clean
-
+(* Synchronous rounds: Euler steps of h = 1, three per update. *)
 let test_zero_rate_inert_discrete () =
   let inst = Common.two_link ~beta:4. in
   let config =
-    { Discrete.policy = Policy.uniform_linear inst;
-      rounds = 24;
-      rounds_per_update = 3 }
+    rounds_config ~per_update:3 (Policy.uniform_linear inst) ~updates:8
   in
   let run faults =
     let buf = Probe.Memory.create () in
     let r =
-      Discrete.run ?faults
+      Driver.run ?faults
         ~probe:(Probe.Memory.probe buf)
         inst config
         ~init:(Common.biased_start inst)
@@ -452,7 +428,7 @@ let test_zero_rate_inert_discrete () =
   let zero_trace, zero = run (Some (zero_rate_plan ())) in
   check_true "trace byte-identical" (String.equal clean_trace zero_trace);
   check_true "final flow bit-identical"
-    (bits_equal clean.Discrete.final_flow zero.Discrete.final_flow)
+    (bits_equal clean.Driver.final_flow zero.Driver.final_flow)
 
 (* Live outage runs are as reproducible as clean ones. *)
 let test_outage_run_deterministic () =
@@ -566,7 +542,6 @@ let suite =
     case "zero-rate outage stateless" test_outage_zero_rate_no_state;
     case "dead-edge helpers" test_dead_helpers;
     case "zero-rate inert (driver)" test_zero_rate_inert_driver;
-    case "zero-rate inert (trajectory)" test_zero_rate_inert_trajectory;
     case "zero-rate inert (discrete)" test_zero_rate_inert_discrete;
     case "outage run deterministic" test_outage_run_deterministic;
     case "every kind fires on 1000 draws" test_every_kind_fires;

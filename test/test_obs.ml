@@ -35,7 +35,7 @@ let test_memory_buffer () =
   let probe = Probe.Memory.probe buf in
   check_true "memory probe is enabled" (Probe.enabled probe);
   Probe.emit probe (Probe.Board_repost { time = 1. });
-  Probe.emit probe (Probe.Round { index = 0; potential = 2. });
+  Probe.emit probe (Probe.Kernel_rebuild { time = 2. });
   check_int "length" 2 (Probe.Memory.length buf);
   check_int "count reposts" 1
     (Probe.Memory.count buf (function
@@ -136,7 +136,6 @@ let every_event_kind =
     Probe.Board_repost { time = 1.5 };
     Probe.Kernel_rebuild { time = 1.5 };
     Probe.Step_batch { time = 1.5; scheme = "rk4"; steps = 20; tau = 0.5 };
-    Probe.Round { index = 3; potential = 1.25 };
     Probe.Agent_wake
       { time = 2.25; agent = 17; from_path = 0; to_path = 1; migrated = true };
     Probe.Path_growth
@@ -349,50 +348,31 @@ let test_trace_byte_identical () =
   Alcotest.check Alcotest.string "same-config traces identical" (trace ())
     (trace ())
 
-(* --- Trajectory / Discrete / Simulator instrumentation --- *)
-
-let test_trajectory_counters () =
-  let inst = Common.braess () in
-  let phases = 4 and steps = 6 in
-  let config =
-    driver_config ~phases ~steps (Policy.uniform_linear inst)
-      (Driver.Stale 0.25)
-  in
-  let metrics = Metrics.create () in
-  ignore
-    (Trajectory.record ~metrics inst config ~init:(Flow.uniform inst)
-       ~samples_per_phase:3);
-  check_int "stale trajectory reposts once per phase" phases
-    (Metrics.count (Metrics.counter metrics "board_reposts"));
-  let fresh_metrics = Metrics.create () in
-  let fresh_config = { config with Driver.staleness = Driver.Fresh } in
-  ignore
-    (Trajectory.record ~metrics:fresh_metrics inst fresh_config
-       ~init:(Flow.uniform inst) ~samples_per_phase:3);
-  check_int "fresh trajectory reposts once per chunk" (phases * 3)
-    (Metrics.count (Metrics.counter fresh_metrics "board_reposts"))
+(* --- Synchronous-round / Simulator instrumentation --- *)
 
 let test_discrete_events () =
   let inst = Common.braess () in
-  let rounds = 7 and rounds_per_update = 3 in
+  let updates = 3 and per_update = 3 in
   let config =
-    { Discrete.policy = Policy.uniform_linear inst; rounds; rounds_per_update }
+    rounds_config ~per_update (Policy.uniform_linear inst) ~updates
   in
   let buf = Probe.Memory.create () in
   let metrics = Metrics.create () in
   ignore
-    (Discrete.run ~probe:(Probe.Memory.probe buf) ~metrics inst config
+    (Driver.run ~probe:(Probe.Memory.probe buf) ~metrics inst config
        ~init:(Flow.uniform inst));
-  check_int "one round event per round" rounds
-    (Probe.Memory.count buf (function Probe.Round _ -> true | _ -> false));
-  (* One post before the loop plus one at every k = 0 mod update. *)
-  let expected_posts = 1 + ((rounds + rounds_per_update - 1) / rounds_per_update) in
-  check_int "board reposts" expected_posts
-    (Probe.Memory.count buf (function
-      | Probe.Board_repost _ -> true
+  let count pred = Probe.Memory.count buf pred in
+  check_int "one phase per update" updates
+    (count (function Probe.Phase_start _ -> true | _ -> false));
+  check_int "one board post per update" updates
+    (count (function Probe.Board_repost _ -> true | _ -> false));
+  check_int "one step batch per update" updates
+    (count (function
+      | Probe.Step_batch { scheme = "euler"; steps; tau; _ } ->
+          steps = per_update && tau = float_of_int per_update
       | _ -> false));
-  check_int "rounds counter" rounds
-    (Metrics.count (Metrics.counter metrics "rounds"))
+  check_int "one derivative evaluation per round" (updates * per_update)
+    (Metrics.count (Metrics.counter metrics "derivative_evals"))
 
 let test_simulator_probe_counts () =
   let inst = Common.two_link ~beta:4. in
@@ -534,7 +514,7 @@ let test_report_zero_phases () =
   check_true "note-only trace renders"
     (String.length (Report.to_string only_notes) > 0)
 
-let prop_report_series_matches_trajectory =
+let prop_report_series_matches_potential_gap =
   qcheck ~count:25
     "qcheck: report potential series = trajectory potential gap"
     QCheck2.Gen.(
@@ -546,17 +526,14 @@ let prop_report_series_matches_trajectory =
           (Driver.Stale 0.2)
       in
       let init = Common.biased_start inst in
-      let buf, _ = captured_run inst config ~init in
+      let buf, result = captured_run inst config ~init in
       let series =
         Report.potential_series (Report.of_events (Probe.Memory.events buf))
       in
-      (* samples_per_phase = 1 re-posts on exactly the driver's grid. *)
-      let traj = Trajectory.record inst config ~init ~samples_per_phase:1 in
-      let gap = Trajectory.potential_gap inst ~phi_star:0. traj in
+      let gap = Convergence.potential_gap ~phi_star:0. result in
       Array.length series = Array.length gap
       && Array.for_all2
-           (fun (t1, phi1) (t2, phi2) ->
-             Float.abs (t1 -. t2) <= 1e-9 && Float.abs (phi1 -. phi2) <= 1e-9)
+           (fun (t1, phi1) (t2, phi2) -> same_bits t1 t2 && same_bits phi1 phi2)
            series gap)
 
 (* --- Disabled-probe hot path stays allocation-free --- *)
@@ -607,12 +584,11 @@ let suite =
     case "fresh event counts" test_fresh_event_counts;
     case "phase events match records" test_phase_events_match_records;
     case "trace byte-identical" test_trace_byte_identical;
-    case "trajectory counters" test_trajectory_counters;
     case "discrete events" test_discrete_events;
     case "simulator probe counts" test_simulator_probe_counts;
     case "report counts and series" test_report_counts_and_series;
     case "report faults section" test_report_faults_section;
     case "report renders zero phases" test_report_zero_phases;
-    prop_report_series_matches_trajectory;
+    prop_report_series_matches_potential_gap;
     case "disabled probe allocation-free" test_disabled_probe_allocation_free;
   ]

@@ -2,7 +2,7 @@
    three seed modes, replay, and the two differential contracts — a
    colgen run reaches the enumerated equilibrium on small instances,
    and a Full-seeded pool is bitwise inert (identical traces and flows
-   to a plain run across Driver, Trajectory and Discrete). *)
+   to a plain run, under RK4 phases and under synchronous rounds). *)
 
 open Helpers
 open Staleroute_wardrop
@@ -494,42 +494,20 @@ let test_full_seed_driver_bitwise () =
   check_true "final instance is the input instance"
     (colgen.Driver.final_instance == inst)
 
-let test_full_seed_trajectory_bitwise () =
-  let layers = 3 in
-  let w = workload ~layers 7 in
-  let pool = pool_of ~seed:Path_pool.Full w in
-  let inst = Path_pool.instance pool in
-  let policy = colgen_policy ~layers w in
-  let cfg = config ~policy ~t:(safe_period ~layers policy inst) ~phases:15 () in
-  let init = Flow.uniform inst in
-  let plain = Trajectory.record inst cfg ~init ~samples_per_phase:3 in
-  let colgen =
-    Trajectory.record ~colgen:pool inst cfg ~init ~samples_per_phase:3
-  in
-  check_int "sample count" (Array.length plain) (Array.length colgen);
-  Array.iteri
-    (fun i a ->
-      let b = colgen.(i) in
-      check_true "sample time bit-identical"
-        (Int64.bits_of_float a.Trajectory.time
-        = Int64.bits_of_float b.Trajectory.time);
-      check_true "sample flow bit-identical"
-        (flows_bitwise_equal a.Trajectory.flow b.Trajectory.flow))
-    plain
-
 let test_full_seed_discrete_bitwise () =
   let layers = 3 in
   let w = workload ~layers 7 in
   let pool = pool_of ~seed:Path_pool.Full w in
   let inst = Path_pool.instance pool in
   let policy = colgen_policy ~layers w in
-  let cfg = { Discrete.policy; rounds = 40; rounds_per_update = 4 } in
-  let run ?colgen () = Discrete.run ?colgen inst cfg ~init:(Flow.uniform inst) in
+  (* Synchronous rounds: Euler steps of h = 1, four per update. *)
+  let cfg = rounds_config ~per_update:4 policy ~updates:10 in
+  let run ?colgen () = Driver.run ?colgen inst cfg ~init:(Flow.uniform inst) in
   let plain = run () and colgen = run ~colgen:pool () in
   check_true "final flow bit-identical"
-    (flows_bitwise_equal plain.Discrete.final_flow colgen.Discrete.final_flow);
+    (flows_bitwise_equal plain.Driver.final_flow colgen.Driver.final_flow);
   check_true "final instance is the input instance"
-    (colgen.Discrete.final_instance == inst)
+    (colgen.Driver.final_instance == inst)
 
 (* --- Growth through the dynamics --- *)
 
@@ -606,8 +584,6 @@ let suite =
          ~pin:(11, 17, 0.0016792923232535604)
          ~phases:400 ~steps:12 5);
     case "full seed: driver bitwise inert" test_full_seed_driver_bitwise;
-    case "full seed: trajectory bitwise inert"
-      test_full_seed_trajectory_bitwise;
     case "full seed: discrete bitwise inert" test_full_seed_discrete_bitwise;
     slow_case "driver growth is pure and reflected in the result"
       test_driver_grows_and_discrete_agree_on_purity;

@@ -50,8 +50,6 @@ let event_gen =
        and* steps = int_range 1 1000
        and* tau = value in
        return (Probe.Step_batch { time; scheme; steps; tau }));
-      (let* index = nat and* potential = value in
-       return (Probe.Round { index; potential }));
       (let* time = time
        and* agent = nat
        and* from_path = nat
@@ -146,6 +144,20 @@ let test_error_carries_line () =
           check_true "error names line 5" (Str_contains.contains e "line 5")
       | Ok _ -> Alcotest.fail "expected a parse error")
 
+(* "round" is not an event kind of the trace schema: a trace that
+   carries one is refused with the typed error, not a backtrace. *)
+let test_round_event_refused () =
+  let text =
+    write_versioned sample ^ "{\"ev\":\"round\",\"index\":0,\"phi\":1.5}\n"
+  in
+  with_tmp_trace text (fun path ->
+      match Trace_reader.read_file path with
+      | Error e ->
+          check_true "error names the kind"
+            (Str_contains.contains e "unknown event kind \"round\"");
+          check_true "error names line 5" (Str_contains.contains e "line 5")
+      | Ok _ -> Alcotest.fail "expected an unknown-kind error")
+
 let test_unreadable_file_is_error () =
   match Trace_reader.read_file "/nonexistent/trace.jsonl" with
   | Error _ -> ()
@@ -221,6 +233,7 @@ let suite =
     case "legacy trace reads" test_legacy_reads;
     case "unsupported schema rejected" test_unsupported_schema_rejected;
     case "parse error carries the line" test_error_carries_line;
+    case "round event refused" test_round_event_refused;
     case "unreadable file is an error" test_unreadable_file_is_error;
     case "fold visits every event" test_fold_is_incremental;
     case "diff: identical traces" test_diff_identical;
