@@ -230,7 +230,6 @@ let test_rounds_match_reference () =
 
 let suite =
   [
-    case "synchronous rounds = reference loop" test_rounds_match_reference;
     case "run shape" test_run_shape;
     case "fresh = tiny-T limit" test_fresh_tracks_tiny_stale;
     prop_mass_conserved_along_runs;
@@ -244,4 +243,5 @@ let suite =
     case "validation" test_validation;
     case "phase length" test_phase_length;
     case "default config" test_default_config;
+    case "synchronous rounds = reference loop" test_rounds_match_reference;
   ]
