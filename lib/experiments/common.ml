@@ -132,17 +132,9 @@ let set_instrumentation ?(spans = Staleroute_obs.Span.null) ~probe ~metrics ()
 let clear_instrumentation () = Domain.DLS.set ambient None
 
 let run ?probe ?metrics ?spans ?faults ?guard ?colgen ?from ?checkpoint_every
-    ?on_checkpoint inst policy staleness ~phases ?(steps_per_phase = 20) ?init
-    () =
-  let config =
-    {
-      Driver.policy;
-      staleness;
-      phases;
-      steps_per_phase;
-      scheme = Integrator.Rk4;
-    }
-  in
+    ?on_checkpoint inst policy staleness ~phases ?(steps_per_phase = 20)
+    ?(scheme = Integrator.Rk4) ?init () =
+  let config = { Driver.policy; staleness; phases; steps_per_phase; scheme } in
   let init =
     match init with Some f -> f | None -> Flow.concentrated inst ~on:(fun _ -> 0)
   in

@@ -68,10 +68,12 @@ val run :
   Driver.staleness ->
   phases:int ->
   ?steps_per_phase:int ->
+  ?scheme:Integrator.scheme ->
   ?init:Flow.t ->
   unit ->
   Driver.result
-(** Drive the fluid dynamics (RK4).  [init] defaults to the flow
+(** Drive the fluid dynamics; [scheme] defaults to RK4 (E14's
+    synchronous rounds pass Euler).  [init] defaults to the flow
     concentrated on each commodity's first path — deliberately far from
     equilibrium.  [probe] / [metrics] / [spans] default to the ambient
     instrumentation (see {!set_instrumentation}), which itself defaults

@@ -20,18 +20,12 @@ let continuous_outcome inst kappa ~phases =
    integrated by one Euler step of h = 1 on the board posted at the
    round's start. *)
 let synchronous_outcome inst kappa ~phases =
-  let config =
-    {
-      Driver.policy = policy_for inst kappa;
-      staleness = Driver.Stale 1.;
-      phases;
-      steps_per_phase = 1;
-      scheme = Integrator.Euler;
-    }
+  let result =
+    Common.run inst (policy_for inst kappa) (Driver.Stale 1.) ~phases
+      ~steps_per_phase:1 ~scheme:Integrator.Euler
+      ~init:(Common.biased_start inst) ()
   in
-  let result = Driver.run inst config ~init:(Common.biased_start inst) in
-  ( Equilibrium.unsatisfied_volume inst result.Driver.final_flow
-      ~delta:0.05,
+  ( Equilibrium.unsatisfied_volume inst result.Driver.final_flow ~delta:0.05,
     Convergence.is_oscillating (Common.phase_start_flows result) )
 
 let tables ?(quick = false) () =

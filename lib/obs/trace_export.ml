@@ -221,33 +221,3 @@ let write_trace oc events =
   output_string oc (Json.to_string header_json);
   output_char oc '\n';
   write_events oc events
-
-let jsonl_sink oc ev =
-  output_string oc (Json.to_string (event_to_json ev));
-  output_char oc '\n';
-  flush oc
-
-let dist_to_json (d : Metrics.dist) =
-  Json.Obj
-    [
-      ("n", Json.Int d.Metrics.n);
-      ("mean", Json.Float d.Metrics.mean);
-      ("min", Json.Float d.Metrics.min);
-      ("p50", Json.Float d.Metrics.p50);
-      ("p90", Json.Float d.Metrics.p90);
-      ("p99", Json.Float d.Metrics.p99);
-      ("max", Json.Float d.Metrics.max);
-    ]
-
-let snapshot_to_json snap =
-  Json.Obj
-    (List.map
-       (fun (name, entry) ->
-         ( name,
-           match entry with
-           | Metrics.Counter_v n -> Json.Int n
-           | Metrics.Gauge_v x -> Json.Float x
-           | Metrics.Dist_v d -> dist_to_json d ))
-       snap)
-
-let snapshot_to_string snap = Json.to_string (snapshot_to_json snap)

@@ -1,5 +1,5 @@
-(** Deterministic serialisation of probe event streams and metric
-    snapshots: JSONL (one event per line) and CSV.
+(** Deterministic serialisation of probe event streams: JSONL (one
+    event per line).
 
     Field names and their order are fixed per event kind and floats use
     the canonical {!Json.float_repr}, so two runs with the same seed
@@ -37,16 +37,3 @@ val header_json : Json.t
 val write_trace : out_channel -> Probe.event array -> unit
 (** {!header_json} on the first line, then {!write_events} — what
     [routesim --trace] writes.  (No flush.) *)
-
-val jsonl_sink : out_channel -> Probe.sink
-(** A streaming sink: each emitted event is written (and flushed) as
-    one JSONL line the moment it happens — for watching a run live,
-    e.g. [tail -f trace.jsonl]. *)
-
-(** {1 Metric snapshots} *)
-
-val snapshot_to_json : Metrics.snapshot -> Json.t
-(** Object keyed by metric name in snapshot (sorted) order; counters
-    and gauges map to scalars, distributions to summary objects. *)
-
-val snapshot_to_string : Metrics.snapshot -> string

@@ -2,9 +2,8 @@
     half of {!Trace_export}.
 
     The fold API consumes the file line by line and never holds more
-    than one line in memory, so traces of any length (a streamed
-    [Trace_export.jsonl_sink] run, a multi-million-event fresh-mode
-    trace) read in constant space.
+    than one line in memory, so traces of any length (a
+    multi-million-event fresh-mode trace) read in constant space.
 
     Both trace flavours are accepted: {e versioned} traces whose first
     record is the [Trace_export.header_json] schema stamp, and {e

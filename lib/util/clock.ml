@@ -12,8 +12,3 @@ let rec now_ns () =
   if raw <= prev then prev
   else if Atomic.compare_and_set last prev raw then raw
   else now_ns ()
-
-let span_ns f =
-  let t0 = now_ns () in
-  let y = f () in
-  (y, now_ns () -. t0)

@@ -12,7 +12,3 @@ val now_ns : unit -> float
     to the highest value handed out so far, so span durations never go
     negative.  Resolution is that of [Unix.gettimeofday] (microseconds
     on every platform we target). *)
-
-val span_ns : (unit -> 'a) -> 'a * float
-(** [span_ns f] runs [f] and returns its result together with the
-    elapsed wall-clock nanoseconds. *)

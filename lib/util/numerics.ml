@@ -22,77 +22,3 @@ let linspace a b n =
   if n < 2 then invalid_arg "Numerics.linspace: need n >= 2";
   let h = (b -. a) /. float_of_int (n - 1) in
   Array.init n (fun i -> a +. (float_of_int i *. h))
-
-let logspace a b n =
-  if a <= 0. || b <= 0. then invalid_arg "Numerics.logspace: bounds <= 0";
-  Array.map exp (linspace (log a) (log b) n)
-
-let integrate ?(n = 256) f a b =
-  let n = if n mod 2 = 0 then n else n + 1 in
-  let h = (b -. a) /. float_of_int n in
-  let acc = ref (f a +. f b) in
-  for i = 1 to n - 1 do
-    let x = a +. (float_of_int i *. h) in
-    acc := !acc +. ((if i mod 2 = 1 then 4. else 2.) *. f x)
-  done;
-  !acc *. h /. 3.
-
-let simpson a fa b fb fm = (b -. a) /. 6. *. (fa +. (4. *. fm) +. fb)
-
-let integrate_adaptive ?(tol = 1e-10) f a b =
-  (* Classic adaptive Simpson with Richardson correction. *)
-  let rec go a fa b fb m fm whole tol depth =
-    let lm = (a +. m) /. 2. and rm = (m +. b) /. 2. in
-    let flm = f lm and frm = f rm in
-    let left = simpson a fa m fm flm in
-    let right = simpson m fm b fb frm in
-    let delta = left +. right -. whole in
-    if depth <= 0 || Float.abs delta <= 15. *. tol then
-      left +. right +. (delta /. 15.)
-    else
-      go a fa m fm lm flm left (tol /. 2.) (depth - 1)
-      +. go m fm b fb rm frm right (tol /. 2.) (depth - 1)
-  in
-  if a = b then 0.
-  else
-    let fa = f a and fb = f b in
-    let m = (a +. b) /. 2. in
-    let fm = f m in
-    go a fa b fb m fm (simpson a fa b fb fm) tol 48
-
-let bisect ?(tol = 1e-12) ?(max_iter = 200) f a b =
-  let fa = f a and fb = f b in
-  if fa = 0. then a
-  else if fb = 0. then b
-  else begin
-    if fa *. fb > 0. then invalid_arg "Numerics.bisect: no sign change";
-    let rec loop a fa b i =
-      let m = (a +. b) /. 2. in
-      if i = 0 || (b -. a) /. 2. < tol then m
-      else
-        let fm = f m in
-        if fm = 0. then m
-        else if fa *. fm < 0. then loop a fa m (i - 1)
-        else loop m fm b (i - 1)
-    in
-    loop a fa b max_iter
-  end
-
-let golden_section_min ?(tol = 1e-9) f a b =
-  (* Invariant: a < c < d < b with c, d at golden ratios of [a, b]. *)
-  let invphi = (sqrt 5. -. 1.) /. 2. in
-  let rec loop a b c d fc fd =
-    if b -. a < tol then (a +. b) /. 2.
-    else if fc < fd then
-      let b = d in
-      let d = c and fd = fc in
-      let c = b -. (invphi *. (b -. a)) in
-      loop a b c d (f c) fd
-    else
-      let a = c in
-      let c = d and fc = fd in
-      let d = a +. (invphi *. (b -. a)) in
-      loop a b c d fc (f d)
-  in
-  let c = b -. (invphi *. (b -. a)) and d = a +. (invphi *. (b -. a)) in
-  loop a b c d (f c) (f d)

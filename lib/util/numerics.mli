@@ -1,5 +1,5 @@
-(** Numerical helpers: compensated summation, quadrature, root finding,
-    1-D minimisation, and float comparisons. *)
+(** Numerical helpers: compensated summation, float comparisons,
+    clamping and evenly spaced grids. *)
 
 val kahan_sum : float array -> float
 (** Compensated (Kahan–Babuška) summation. *)
@@ -17,26 +17,3 @@ val clamp : lo:float -> hi:float -> float -> float
 val linspace : float -> float -> int -> float array
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
     inclusive. *)
-
-val logspace : float -> float -> int -> float array
-(** [logspace a b n] is [n] points geometrically spaced from [a] to [b];
-    both must be positive. *)
-
-val integrate : ?n:int -> (float -> float) -> float -> float -> float
-(** [integrate f a b] approximates [∫_a^b f] with composite Simpson on
-    [n] (even, default 256) subintervals. *)
-
-val integrate_adaptive :
-  ?tol:float -> (float -> float) -> float -> float -> float
-(** Adaptive Simpson quadrature with absolute tolerance [tol]
-    (default [1e-10]). *)
-
-val bisect :
-  ?tol:float -> ?max_iter:int -> (float -> float) -> float -> float -> float
-(** [bisect f a b] finds a root of [f] in [\[a, b\]]; requires
-    [f a] and [f b] to have opposite signs (or be zero). *)
-
-val golden_section_min :
-  ?tol:float -> (float -> float) -> float -> float -> float
-(** [golden_section_min f a b] returns an approximate minimiser of the
-    unimodal function [f] on [\[a, b\]]. *)

@@ -402,6 +402,26 @@ let test_e19_shape () =
         lag_rows
   | _ -> Alcotest.fail "e19 must produce two tables"
 
+(* Ambient instrumentation reaches both halves of E14: each half runs
+   2 kappas x 150 phases with one repost per phase (600 in all), the
+   continuous half 24000 RK4 evaluations (20 steps x 4 stages per
+   phase) and the synchronous half 300 Euler ones (one per round).
+   Instrumenting leaves the table unchanged. *)
+let test_e14_ambient_instrumentation () =
+  let module Metrics = Staleroute_obs.Metrics in
+  let plain = E14_synchronous_rounds.tables ~quick:true () in
+  let metrics = Metrics.create () in
+  Common.set_instrumentation ~probe:Staleroute_obs.Probe.null ~metrics ();
+  let instrumented =
+    Fun.protect ~finally:Common.clear_instrumentation (fun () ->
+        E14_synchronous_rounds.tables ~quick:true ())
+  in
+  let count name = Metrics.count (Metrics.counter metrics name) in
+  check_int "board reposts" 600 (count "board_reposts");
+  check_int "derivative evaluations" 24300 (count "derivative_evals");
+  check_true "instrumented table unchanged"
+    (List.map Table.to_string plain = List.map Table.to_string instrumented)
+
 let suite =
   [
     case "instances well-formed" test_common_instances_well_formed;
@@ -428,4 +448,6 @@ let suite =
     slow_case "E17 end-to-end" test_e17_shape;
     slow_case "E18 end-to-end" test_e18_shape;
     slow_case "E19 end-to-end" test_e19_shape;
+    slow_case "E14 under ambient instrumentation"
+      test_e14_ambient_instrumentation;
   ]

@@ -33,64 +33,12 @@ let test_linspace () =
   check_close "step" 0.25 (xs.(1) -. xs.(0));
   check_raises_invalid "n < 2" (fun () -> N.linspace 0. 1. 1)
 
-let test_logspace () =
-  let xs = N.logspace 1. 100. 3 in
-  check_close "geometric middle" 10. xs.(1);
-  check_raises_invalid "non-positive bound" (fun () -> N.logspace 0. 1. 3)
-
-let test_integrate_polynomial () =
-  (* Simpson is exact for cubics. *)
-  let f x = (x *. x *. x) -. (2. *. x) +. 1. in
-  check_close "cubic integral" 0.25 (N.integrate f 0. 1.)
-
-let test_integrate_sin () =
-  check_close ~eps:1e-8 "sin over [0,pi]" 2. (N.integrate sin 0. Float.pi)
-
-let test_integrate_adaptive () =
-  check_close ~eps:1e-9 "adaptive sin" 2.
-    (N.integrate_adaptive sin 0. Float.pi);
-  check_close "adaptive empty range" 0. (N.integrate_adaptive sin 1. 1.);
-  (* A function with a sharp kink. *)
-  let f x = Float.abs (x -. 0.3) in
-  let exact = ((0.3 ** 2.) /. 2.) +. ((0.7 ** 2.) /. 2.) in
-  check_close ~eps:1e-8 "adaptive kink" exact (N.integrate_adaptive f 0. 1.)
-
-let test_bisect () =
-  let root = N.bisect (fun x -> (x *. x) -. 2.) 0. 2. in
-  check_close ~eps:1e-9 "sqrt 2" (sqrt 2.) root;
-  check_close "root at endpoint a" 0. (N.bisect (fun x -> x) 0. 1.);
-  check_raises_invalid "no sign change" (fun () ->
-      N.bisect (fun x -> (x *. x) +. 1.) 0. 1.)
-
-let test_golden_section () =
-  let m = N.golden_section_min (fun x -> (x -. 0.7) ** 2.) 0. 1. in
-  check_close ~eps:1e-6 "parabola minimum" 0.7 m;
-  let m = N.golden_section_min (fun x -> x) 0. 1. in
-  check_close ~eps:1e-6 "monotone: minimum at left edge" 0. m;
-  let m = N.golden_section_min (fun x -> -.x) 0. 1. in
-  check_close ~eps:1e-6 "monotone: minimum at right edge" 1. m
-
-let prop_integrate_linearity =
-  qcheck "qcheck: integration is linear in the integrand"
-    QCheck2.Gen.(pair (float_range (-5.) 5.) (float_range (-5.) 5.))
-    (fun (a, b) ->
-      let f x = (a *. x) +. b in
-      let exact = (a /. 2.) +. b in
-      Float.abs (N.integrate f 0. 1. -. exact) < 1e-9)
-
 let prop_clamp_idempotent =
   qcheck "qcheck: clamp is idempotent"
     QCheck2.Gen.(float_range (-100.) 100.)
     (fun x ->
       let y = N.clamp ~lo:(-1.) ~hi:1. x in
       N.clamp ~lo:(-1.) ~hi:1. y = y)
-
-let prop_bisect_finds_root =
-  qcheck "qcheck: bisect root of shifted identity"
-    QCheck2.Gen.(float_range (-10.) 10.)
-    (fun c ->
-      let root = N.bisect (fun x -> x -. c) (-11.) 11. in
-      Float.abs (root -. c) < 1e-9)
 
 let suite =
   [
@@ -100,13 +48,5 @@ let suite =
     case "approx_equal" test_approx_equal;
     case "clamp" test_clamp;
     case "linspace" test_linspace;
-    case "logspace" test_logspace;
-    case "simpson exact on cubics" test_integrate_polynomial;
-    case "simpson on sin" test_integrate_sin;
-    case "adaptive simpson" test_integrate_adaptive;
-    case "bisect" test_bisect;
-    case "golden section" test_golden_section;
-    prop_integrate_linearity;
     prop_clamp_idempotent;
-    prop_bisect_finds_root;
   ]
