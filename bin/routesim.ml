@@ -539,9 +539,9 @@ let cmd =
   let jobs =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"J"
          ~doc:
-           "Run up to $(docv) runs concurrently (domains).  Output is \
-            byte-identical to -j 1, except the wall-clock timing \
-            distributions under --metrics.")
+           "Run up to $(docv) runs concurrently (domains).  Output, \
+            --metrics included, is byte-identical to -j 1 (--profile \
+            timings are wall-clock and vary run to run).")
   in
   let seed =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S"

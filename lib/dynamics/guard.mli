@@ -1,9 +1,9 @@
 (** Numeric guardrails over the integration state.
 
-    A user-supplied latency (or a [Custom] sampling / migration rule)
-    that produces a NaN poisons the whole trajectory: the projection in
-    the integrator keeps multiplying by NaN and the run silently
-    reports garbage.  A guard checks the flow's {e health} at phase
+    A user-supplied latency (or a NaN policy parameter such as
+    [Sampling.Logit nan]) that produces a NaN poisons the whole
+    trajectory: the projection in the integrator keeps multiplying by
+    NaN and the run silently reports garbage.  A guard checks the flow's {e health} at phase
     boundaries — every entry finite, per-commodity feasibility within
     tolerance — and applies a configurable policy when the check
     fails:

@@ -3,13 +3,6 @@ type t =
   | Linear of { ell_max : float }
   | Scaled_linear of { alpha : float }
   | Relative of { scale : float }
-  | Custom of custom
-
-and custom = {
-  name : string;
-  prob : ell_p:float -> ell_q:float -> float;
-  alpha : float option;
-}
 
 let prob t ~ell_p ~ell_q =
   match t with
@@ -29,25 +22,12 @@ let prob t ~ell_p ~ell_q =
         Staleroute_util.Numerics.clamp ~lo:0. ~hi:1.
           (scale *. (ell_p -. ell_q) /. ell_p)
       else 0.
-  | Custom { prob; _ } -> prob ~ell_p ~ell_q
 
 let alpha = function
   | Better_response -> None
   | Linear { ell_max } -> Some (1. /. ell_max)
   | Scaled_linear { alpha } -> Some alpha
   | Relative _ -> None
-  | Custom { alpha; _ } -> alpha
-
-let is_selfish t ~migration_prob_samples:n =
-  let grid = Staleroute_util.Numerics.linspace 0. 1. (max 2 n) in
-  Array.for_all
-    (fun ell_p ->
-      Array.for_all
-        (fun ell_q ->
-          let m = prob t ~ell_p ~ell_q in
-          if ell_q >= ell_p then m = 0. else m >= 0.)
-        grid)
-    grid
 
 let check_smoothness t ~samples ~ell_max =
   match alpha t with
@@ -68,6 +48,5 @@ let name = function
   | Linear { ell_max } -> Printf.sprintf "linear(lmax=%g)" ell_max
   | Scaled_linear { alpha } -> Printf.sprintf "scaled-linear(alpha=%g)" alpha
   | Relative { scale } -> Printf.sprintf "relative(%g)" scale
-  | Custom { name; _ } -> name
 
 let pp ppf t = Format.pp_print_string ppf (name t)

@@ -22,26 +22,15 @@ type t =
           of absolute gain), which is exactly why its analysis in the
           follow-up work replaces the slope bound [β] by the elasticity
           of the latency functions.  Requires [scale ∈ (0, 1]]. *)
-  | Custom of custom
-
-and custom = {
-  name : string;
-  prob : ell_p:float -> ell_q:float -> float;
-  alpha : float option;  (** smoothness constant, if any *)
-}
 
 val prob : t -> ell_p:float -> ell_q:float -> float
-(** Migration probability; always in [\[0, 1\]] and [0] when
-    [ell_q >= ell_p] for the built-in rules. *)
+(** Migration probability: [0] when [ell_q >= ell_p] (the paper's
+    selfishness requirement, which every rule meets by construction)
+    and otherwise in [\[0, 1\]], or NaN for a NaN parameter. *)
 
 val alpha : t -> float option
 (** The rule's smoothness constant; [None] when not α-smooth for any α
     (better response). *)
-
-val is_selfish : t -> migration_prob_samples:int -> bool
-(** Empirical check on a sample grid that [µ = 0] whenever
-    [ℓ_Q >= ℓ_P] and [µ >= 0] elsewhere — the paper's selfishness
-    requirement. *)
 
 val check_smoothness : t -> samples:int -> ell_max:float -> bool
 (** Empirically verify Definition 2 on a [samples × samples] grid of

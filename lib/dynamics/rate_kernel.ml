@@ -15,21 +15,16 @@ type shape =
   | Affine of { c : float; width : float }
   | Relative of float
 
-(* Policies with [Custom] sampling or migration (or a built-in migration
-   whose parameter lies outside its domain, see [shape_of]) compile to
-   a dense m×m block per commodity: R_PQ = σ_PQ·µ(ℓ_P, ℓ_Q). *)
-type dense = {
-  mat_off : int array;  (* commodity ci's m*m block starts at mat_off.(ci) *)
-  mat : float array;  (* row-major dense blocks, R_PP = 0 *)
-  dsigma : float array;  (* compiler scratch, one commodity's σ *)
-}
-
-(* Every other policy compiles to a factored block: the commodity's
-   paths sorted by posted latency, and per sorted position what the
-   prefix-sum evaluation needs.  Positions of commodity ci occupy
-   [off.(ci) .. off.(ci+1) - 1] of every per-position array. *)
-type factored = {
+(* Every policy compiles to one block: per commodity, its paths sorted
+   by posted latency, and per sorted position what the prefix-sum
+   evaluation needs.  Positions of commodity ci occupy
+   [off.(ci) .. off.(ci+1) - 1] of every per-position array.  A
+   commodity the sums cannot represent is flagged [pairwise] and keeps
+   only σ and its row sums. *)
+type block = {
   shape : shape;
+  shaped : bool;  (* false: the migration has no [shape] (see [shape_of]),
+                     every commodity is pairwise and [shape] is unused *)
   off : int array;
   path : int array;  (* position -> global path index, by (ℓ, index) *)
   lat_s : float array;  (* posted latency by position *)
@@ -41,7 +36,7 @@ type factored = {
   sat : int array;  (* first origin position saturating the inflow;
                        the cluster's end under [Relative] *)
   sigma : float array;  (* σ_Q by global path index *)
-  pairwise : bool array;  (* per commodity: board not factorable *)
+  pairwise : bool array;  (* per commodity: evaluated pair by pair *)
   mark : bool array;  (* per commodity: already recompiled in [update] *)
   (* Evaluation scratch, length max m + 1, suffix sums over the sorted
      order (the compiler borrows it for its prefix sums). *)
@@ -51,8 +46,6 @@ type factored = {
   fs : float array;  (* Σ f *)
 }
 
-type form = Dense of dense | Factored of factored
-
 type t = {
   inst : Instance.t;
   policy : Policy.t;
@@ -60,64 +53,29 @@ type t = {
   commodities : int;
   paths_of : int array array;  (* shared with the instance - not mutated *)
   row_sum : float array;  (* total outflow rate per unit mass, global index *)
-  form : form;
+  z : block;
   mutable board : Bulletin_board.t;  (* the posting the kernel encodes *)
 }
 
-(* Every stored value of a block is written by its commodity's compile
-   ([compile_dense] or [compile_factored]), for [build] and [update]
-   alike, from the posted board alone.  The factored compile also
-   starts from the previous sort order, but the order it reaches is the
-   unique sort by (latency, path index), so an update chain and a
-   fresh build store the same bits — which checkpoint/resume relies
-   on. *)
+(* Every stored value of a block is written by its commodity's
+   [compile], for [build] and [update] alike, from the posted board
+   alone.  The compile also starts from the previous sort order, but
+   the order it reaches is the unique sort by (latency, path index), so
+   an update chain and a fresh build store the same bits — which
+   checkpoint/resume relies on. *)
 
-let shape_of (policy : Policy.t) =
-  match (policy.Policy.sampling, policy.Policy.migration) with
-  | Sampling.Custom _, _ | _, Migration.Custom _ -> None
-  | _, Migration.Better_response -> Some Step
-  | _, Migration.Linear { ell_max } when ell_max >= 0. ->
+(* [None] for a migration whose parameter lies outside its domain
+   (negative or NaN [ell_max]/[alpha], [scale] outside (0, 1]): µ is
+   then not the shape's affine or saturated value. *)
+let shape_of = function
+  | Migration.Better_response -> Some Step
+  | Migration.Linear { ell_max } when ell_max >= 0. ->
       Some (Affine { c = 1. /. ell_max; width = ell_max })
-  | _, Migration.Scaled_linear { alpha } when alpha >= 0. ->
+  | Migration.Scaled_linear { alpha } when alpha >= 0. ->
       Some (Affine { c = alpha; width = 1. /. alpha })
-  | _, Migration.Relative { scale } when scale > 0. && scale <= 1. ->
+  | Migration.Relative { scale } when scale > 0. && scale <= 1. ->
       Some (Relative scale)
   | _ -> None
-
-(* Compile commodity [ci]'s dense block against [board]; origin-
-   dependent sampling recomputes σ per row. *)
-let compile_dense t d ~board ci =
-  let lat = board.Bulletin_board.path_latencies in
-  let flow = board.Bulletin_board.flow in
-  let sampling = t.policy.Policy.sampling in
-  let migration = t.policy.Policy.migration in
-  let origin_indep = Sampling.origin_independent sampling in
-  let ps = t.paths_of.(ci) in
-  let m = Array.length ps in
-  let off = d.mat_off.(ci) in
-  let mat = d.mat and sigma = d.dsigma in
-  if origin_indep then
-    Sampling.distribution_into sampling t.inst ~commodity:ci ~flow
-      ~latencies:lat ~from_:ps.(0) ~dst:sigma;
-  for a = 0 to m - 1 do
-    let p = Array.unsafe_get ps a in
-    if not origin_indep then
-      Sampling.distribution_into sampling t.inst ~commodity:ci ~flow
-        ~latencies:lat ~from_:p ~dst:sigma;
-    let lp = Array.unsafe_get lat p in
-    let base = off + (a * m) in
-    let sum = ref 0. in
-    for b = 0 to m - 1 do
-      if b <> a then begin
-        Array.unsafe_set mat (base + b)
-          (Array.unsafe_get sigma b
-          *. Migration.prob migration ~ell_p:lp
-               ~ell_q:(Array.unsafe_get lat (Array.unsafe_get ps b)));
-        sum := !sum +. Array.unsafe_get mat (base + b)
-      end
-    done;
-    t.row_sum.(p) <- !sum
-  done
 
 (* Sort positions [o .. o+m-1] by (posted latency, path index) in
    place, starting from the previous order: consecutive posts barely
@@ -145,9 +103,9 @@ let sort_block z ~lat o m =
     Array.unsafe_set lat_s (!j + 1) lk
   done
 
-(* Compile commodity [ci]'s factored block against [board].
+(* Compile commodity [ci]'s block against [board].
 
-   With σ origin-independent, the derivative of path P is
+   σ is origin-independent, so the derivative of path P is
      ḟ_P = σ_P Σ_{ℓ_Q > ℓ_P} f_Q µ(ℓ_Q, ℓ_P) − f_P Σ_Q σ_Q µ(ℓ_P, ℓ_Q).
    Over the sorted order the inflow splits into saturated origins (a
    suffix of f) and an affine window [gt, sat), and the row sum into
@@ -161,10 +119,10 @@ let sort_block z ~lat o m =
    dead edge's 1e12.
 
    A commodity whose posted latencies are not all finite (or, under
-   [Relative], not all nonnegative) is flagged [pairwise]: its row sums
-   are computed pair by pair here and its derivative pair by pair at
-   evaluation, as the dense kernel would, with no matrix stored. *)
-let compile_factored t z ~board ci =
+   [Relative], not all nonnegative), and every commodity of a policy
+   without a shape, is flagged [pairwise]: its row sums are computed
+   pair by pair here and its derivative pair by pair at evaluation. *)
+let compile t z ~board ci =
   let lat = board.Bulletin_board.path_latencies in
   let flow = board.Bulletin_board.flow in
   let ps = t.paths_of.(ci) in
@@ -172,9 +130,9 @@ let compile_factored t z ~board ci =
   let o = z.off.(ci) in
   let s0 = z.g in
   Sampling.distribution_into t.policy.Policy.sampling t.inst ~commodity:ci
-    ~flow ~latencies:lat ~from_:ps.(0) ~dst:s0;
+    ~flow ~latencies:lat ~dst:s0;
   let relative = match z.shape with Relative _ -> true | _ -> false in
-  let factorable = ref true in
+  let factorable = ref z.shaped in
   for j = 0 to m - 1 do
     let p = Array.unsafe_get ps j in
     z.sigma.(p) <- Array.unsafe_get s0 j;
@@ -310,63 +268,49 @@ let check_board ~who n board =
     || Vec.dim board.Bulletin_board.flow <> n
   then invalid_arg (who ^ ": board is over a different instance")
 
-let compile t ~board ci =
-  match t.form with
-  | Dense d -> compile_dense t d ~board ci
-  | Factored z -> compile_factored t z ~board ci
-
 let build inst policy ~board =
   let n = Instance.path_count inst in
   check_board ~who:"Rate_kernel.build" n board;
   let nc = Instance.commodity_count inst in
   let paths_of = Array.init nc (Instance.paths_of_commodity inst) in
   let scratch_dim = max 1 (Instance.max_paths_in_commodity inst) in
-  let form =
-    match shape_of policy with
-    | None ->
-        let mat_off = Array.make (nc + 1) 0 in
-        for ci = 0 to nc - 1 do
-          let m = Array.length paths_of.(ci) in
-          mat_off.(ci + 1) <- mat_off.(ci) + (m * m)
-        done;
-        Dense
-          {
-            mat_off;
-            mat = Array.make (max 1 mat_off.(nc)) 0.;
-            dsigma = Array.make scratch_dim 0.;
-          }
-    | Some shape ->
-        let off = Array.make (nc + 1) 0 in
-        for ci = 0 to nc - 1 do
-          off.(ci + 1) <- off.(ci) + Array.length paths_of.(ci)
-        done;
-        (* Each block starts in path-index order; the compile sorts it. *)
-        let path = Array.make n 0 in
-        Array.iteri
-          (fun ci ps -> Array.blit ps 0 path off.(ci) (Array.length ps))
-          paths_of;
-        let pos_f () = Array.make n 0. and pos_i () = Array.make n 0 in
-        let scratch () = Array.make (scratch_dim + 1) 0. in
-        Factored
-          {
-            shape;
-            off;
-            path;
-            lat_s = pos_f ();
-            sig_s = pos_f ();
-            rel = pos_f ();
-            wsc = pos_f ();
-            first = Array.make n false;
-            gt = pos_i ();
-            sat = pos_i ();
-            sigma = pos_f ();
-            pairwise = Array.make nc false;
-            mark = Array.make nc false;
-            g = scratch ();
-            qa = scratch ();
-            qb = scratch ();
-            fs = scratch ();
-          }
+  let shape, shaped =
+    match shape_of policy.Policy.migration with
+    | Some shape -> (shape, true)
+    | None -> (Step, false)
+  in
+  let off = Array.make (nc + 1) 0 in
+  for ci = 0 to nc - 1 do
+    off.(ci + 1) <- off.(ci) + Array.length paths_of.(ci)
+  done;
+  (* Each block starts in path-index order; the compile sorts it. *)
+  let path = Array.make n 0 in
+  Array.iteri
+    (fun ci ps -> Array.blit ps 0 path off.(ci) (Array.length ps))
+    paths_of;
+  let pos_f () = Array.make n 0. and pos_i () = Array.make n 0 in
+  let scratch () = Array.make (scratch_dim + 1) 0. in
+  let z =
+    {
+      shape;
+      shaped;
+      off;
+      path;
+      lat_s = pos_f ();
+      sig_s = pos_f ();
+      rel = pos_f ();
+      wsc = pos_f ();
+      first = Array.make n false;
+      gt = pos_i ();
+      sat = pos_i ();
+      sigma = pos_f ();
+      pairwise = Array.make nc false;
+      mark = Array.make nc false;
+      g = scratch ();
+      qa = scratch ();
+      qb = scratch ();
+      fs = scratch ();
+    }
   in
   let t =
     {
@@ -376,19 +320,20 @@ let build inst policy ~board =
       commodities = nc;
       paths_of;
       row_sum = Array.make n 0.;
-      form;
+      z;
       board;
     }
   in
   for ci = 0 to nc - 1 do
-    compile t ~board ci
+    compile t z ~board ci
   done;
   t
 
 let update ?changed t ~board =
   check_board ~who:"Rate_kernel.update" t.n board;
-  (match (t.form, changed) with
-  | Factored z, Some (chg, count) ->
+  let z = t.z in
+  (match changed with
+  | Some (chg, count) ->
       (* Only commodities owning a listed path can have moved.  After
          [Instance.extend] a commodity's paths may sit in several runs
          of the global index; [mark] compiles each commodity once. *)
@@ -396,18 +341,15 @@ let update ?changed t ~board =
         let ci = Instance.commodity_of_path t.inst chg.(x) in
         if not z.mark.(ci) then begin
           z.mark.(ci) <- true;
-          compile_factored t z ~board ci
+          compile t z ~board ci
         end
       done;
       for x = 0 to count - 1 do
         z.mark.(Instance.commodity_of_path t.inst chg.(x)) <- false
       done
-  | _ ->
-      (* Dense blocks recompile in full: [Custom] closures may not be
-         pure functions of the posted data, and a fresh build would
-         re-invoke them. *)
+  | None ->
       for ci = 0 to t.commodities - 1 do
-        compile t ~board ci
+        compile t z ~board ci
       done);
   t.board <- board;
   t
@@ -420,46 +362,15 @@ let rate t ~from_ q =
   if from_ < 0 || from_ >= t.n || q < 0 || q >= t.n then
     invalid_arg "Rate_kernel.rate: path index out of range";
   let ci = Instance.commodity_of_path t.inst from_ in
-  if ci <> Instance.commodity_of_path t.inst q then 0.
+  if ci <> Instance.commodity_of_path t.inst q || from_ = q then 0.
   else
-    match t.form with
-    | Dense d ->
-        let m = Array.length t.paths_of.(ci) in
-        let a = Instance.local_index_of_path t.inst from_ in
-        let b = Instance.local_index_of_path t.inst q in
-        d.mat.(d.mat_off.(ci) + (a * m) + b)
-    | Factored z ->
-        if from_ = q then 0.
-        else
-          let lat = t.board.Bulletin_board.path_latencies in
-          z.sigma.(q)
-          *. Migration.prob t.policy.Policy.migration ~ell_p:lat.(from_)
-               ~ell_q:lat.(q)
+    let lat = t.board.Bulletin_board.path_latencies in
+    t.z.sigma.(q)
+    *. Migration.prob t.policy.Policy.migration ~ell_p:lat.(from_)
+         ~ell_q:lat.(q)
 
-let eval_dense t d f dst ci =
-  let ps = t.paths_of.(ci) in
-  let m = Array.length ps in
-  let off = d.mat_off.(ci) in
-  (* Outflow first: ḟ_P starts at -f_P Σ_Q R_PQ ... *)
-  for b = 0 to m - 1 do
-    let p = Array.unsafe_get ps b in
-    Vec.unsafe_set dst p
-      (-.(Vec.unsafe_get f p *. Array.unsafe_get t.row_sum p))
-  done;
-  (* ... then each origin row scatters its inflow f_Q R_QP. *)
-  for a = 0 to m - 1 do
-    let fa = Vec.unsafe_get f (Array.unsafe_get ps a) in
-    if fa <> 0. then begin
-      let base = off + (a * m) in
-      for b = 0 to m - 1 do
-        let p = Array.unsafe_get ps b in
-        Vec.unsafe_set dst p
-          (Vec.unsafe_get dst p +. (fa *. Array.unsafe_get d.mat (base + b)))
-      done
-    end
-  done
-
-(* The dense evaluation with each σ_P µ(ℓ_Q, ℓ_P) formed on the fly. *)
+(* ḟ_P = Σ_Q f_Q σ_P µ(ℓ_Q, ℓ_P) − f_P·row_sum_P, pair by pair: the
+   outflows first, then each origin's inflows in path order. *)
 let eval_pairwise t z f dst ci =
   let ps = t.paths_of.(ci) in
   let m = Array.length ps in
@@ -580,16 +491,11 @@ let flow_derivative_into t f ~dst =
     invalid_arg "Rate_kernel.flow_derivative_into: dimension mismatch";
   if f == dst then
     invalid_arg "Rate_kernel.flow_derivative_into: dst aliases the flow";
-  match t.form with
-  | Dense d ->
-      for ci = 0 to t.commodities - 1 do
-        eval_dense t d f dst ci
-      done
-  | Factored z ->
-      for ci = 0 to t.commodities - 1 do
-        if z.pairwise.(ci) then eval_pairwise t z f dst ci
-        else eval_factored t z f dst ci
-      done
+  let z = t.z in
+  for ci = 0 to t.commodities - 1 do
+    if z.pairwise.(ci) then eval_pairwise t z f dst ci
+    else eval_factored t z f dst ci
+  done
 
 let flow_derivative t f =
   let dst = Vec.create t.n 0. in

@@ -9,10 +9,10 @@
 
     [ḟ_P = Σ_Q f_Q R_QP − f_P Σ_Q R_PQ],  [R_PQ = σ_PQ · µ(ℓ_P, ℓ_Q)].
 
-    Every built-in policy has a special form: its sampling is
-    origin-independent ([σ_PQ = σ_Q]) and its migration is 0 unless
-    [ℓ_Q < ℓ_P], affine in [ℓ_Q] below [ℓ_P], and 1 past one breakpoint.
-    For those the kernel stores, per commodity, its paths sorted by
+    Every policy has a special form: its sampling is origin-independent
+    ([σ_PQ = σ_Q]) and its migration is 0 unless [ℓ_Q < ℓ_P], affine in
+    [ℓ_Q] below [ℓ_P], and 1 past one breakpoint.  The kernel stores,
+    per commodity, its paths sorted by
     posted latency together with σ, each position's first strictly
     larger latency, its µ = 1 breakpoint and its row sum [Σ_Q R_PQ].
     An evaluation gathers the live flow in that order and forms inflows
@@ -23,13 +23,10 @@
     doubles), so no sum subtracts across a dead edge's
     {!Faults.dead_latency}.  A commodity whose posted latencies are not
     all finite (or, under [Relative] migration, not all nonnegative) is
-    evaluated pair by pair instead, still without a stored matrix.
-
-    Policies with [Custom] sampling or migration (and built-in
-    migrations with a parameter outside their domain: a negative
-    [ell_max] or [alpha], a [scale] outside (0, 1], NaN) keep a dense
-    per-commodity matrix of [R_PQ], the closures consulted only when
-    the board is compiled.
+    evaluated pair by pair instead, from σ and {!Migration.prob}, with
+    no stored matrix.  So is every commodity under a migration whose
+    parameter lies outside its domain (a negative or NaN [ell_max] or
+    [alpha], a [scale] outside (0, 1]), where µ has no such form.
 
     Evaluating allocates nothing and dispatches no closures.  A kernel
     is only valid for the board it was built from: whenever the board
@@ -44,14 +41,14 @@ type t
 val entry_count : Instance.t -> int
 (** Number of ordered path pairs a kernel over this instance covers
     (sum over commodities of local-path-count squared) — the work unit
-    of a dense compile and of {!Staleroute_util.Pool.gate}'s fan-out
-    estimates. *)
+    of a pairwise evaluation and of {!Staleroute_util.Pool.gate}'s
+    fan-out estimates. *)
 
 val build : Instance.t -> Policy.t -> board:Bulletin_board.t -> t
-(** Compile the policy against a posted board.  A factored block costs
-    one σ evaluation per commodity and an insertion sort of its paths
-    from path-index order, O(|P_i| + inversions); a dense block one
-    σ/µ evaluation per ordered path pair.
+(** Compile the policy against a posted board.  A commodity costs one
+    σ evaluation and an insertion sort of its paths from path-index
+    order, O(|P_i| + inversions); a pairwise one, one µ evaluation per
+    ordered path pair.
 
     Raises [Invalid_argument "Rate_kernel.build: board is over a
     different instance"] when the board's path count or flow dimension
@@ -59,7 +56,7 @@ val build : Instance.t -> Policy.t -> board:Bulletin_board.t -> t
 
 val update : ?changed:int array * int -> t -> board:Bulletin_board.t -> t
 (** [update t ~board] recompiles [t] {e in place} against a newly
-    posted board and returns it, allocating nothing.  A factored block
+    posted board and returns it, allocating nothing.  Each commodity
     re-sorts by insertion sort from the previous order, O(|P_i| +
     inversions), since consecutive posts barely reorder.  The result is
     {b bitwise identical} to [build inst policy ~board]: the sort
@@ -74,10 +71,8 @@ val update : ?changed:int array * int -> t -> board:Bulletin_board.t -> t
     have changed bits (exactly what {!Bulletin_board.changed_paths}
     hands out after a delta repost); only commodities owning a listed
     path are recompiled.  The caller owns the guarantee; a wrong
-    changed set silently leaves stale blocks.  Without it every
-    commodity is recompiled.  Dense blocks ([Custom] policies) always
-    recompile in full and ignore [?changed]: the closures are
-    re-invoked exactly as a fresh build would.
+    changed set silently leaves stale commodities.  Without it every
+    commodity is recompiled.
 
     The previous kernel value is destroyed: callers must not hold on to
     [t] as a kernel for the old board.  {!revision} advances to the new
@@ -102,7 +97,7 @@ val is_current : t -> board:Bulletin_board.t -> bool
 val rate : t -> from_:int -> int -> float
 (** [R_PQ] for global path indices (0 when [P = Q] or the paths belong
     to different commodities).  The per-unit rate: multiply by the live
-    [f_P] to recover {!Rates.migration_rate}.  Factored blocks form
+    [f_P] to recover {!Rates.migration_rate}.  Formed as
     [σ_Q · µ(ℓ_P, ℓ_Q)] on the fly, bit for bit the product of the
     sampling distribution and {!Migration.prob}. *)
 
@@ -117,5 +112,5 @@ val flow_derivative_into :
 val flow_derivative : t -> Flow.t -> Staleroute_util.Vec.t
 (** Allocating convenience wrapper around {!flow_derivative_into};
     agrees with the reference [Rates.flow_derivative] on the same board
-    up to float rounding (factored blocks sum in a different order and
+    up to float rounding (the kernel sums in a different order and
     through prefix sums). *)

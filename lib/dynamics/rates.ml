@@ -9,7 +9,7 @@ let migration_rate inst policy ~board ~flow ~from_ q =
     let dist =
       Sampling.distribution policy.Policy.sampling inst ~commodity:ci
         ~flow:board.Bulletin_board.flow
-        ~latencies:board.Bulletin_board.path_latencies ~from_
+        ~latencies:board.Bulletin_board.path_latencies
     in
     let local_q = Instance.local_index_of_path inst q in
     let mu =
@@ -29,51 +29,23 @@ let flow_derivative inst policy ~board flow =
   for ci = 0 to Instance.commodity_count inst - 1 do
     let ps = Instance.paths_of_commodity inst ci in
     let m = Array.length ps in
-    if Sampling.origin_independent policy.Policy.sampling then begin
-      (* σ does not depend on the origin: one distribution per
-         commodity, shared by every ordered pair. *)
-      let sigma =
-        Sampling.distribution policy.Policy.sampling inst ~commodity:ci
-          ~flow:bflow ~latencies:lat ~from_:ps.(0)
-      in
-      for a = 0 to m - 1 do
-        let p = ps.(a) in
-        for b = 0 to m - 1 do
-          if a <> b then begin
-            let q = ps.(b) in
-            (* Outflow P -> Q and inflow Q -> P for this ordered pair. *)
-            let out = Vec.get flow p *. sigma.(b) *. mu ~ell_p:lat.(p) ~ell_q:lat.(q) in
-            let inc = Vec.get flow q *. sigma.(a) *. mu ~ell_p:lat.(q) ~ell_q:lat.(p) in
-            Vec.set deriv p (Vec.get deriv p +. inc -. out)
-          end
-        done
+    (* σ does not depend on the origin: one distribution per
+       commodity, shared by every ordered pair. *)
+    let sigma =
+      Sampling.distribution policy.Policy.sampling inst ~commodity:ci
+        ~flow:bflow ~latencies:lat
+    in
+    for a = 0 to m - 1 do
+      let p = ps.(a) in
+      for b = 0 to m - 1 do
+        if a <> b then begin
+          let q = ps.(b) in
+          (* Outflow P -> Q and inflow Q -> P for this ordered pair. *)
+          let out = Vec.get flow p *. sigma.(b) *. mu ~ell_p:lat.(p) ~ell_q:lat.(q) in
+          let inc = Vec.get flow q *. sigma.(a) *. mu ~ell_p:lat.(q) ~ell_q:lat.(p) in
+          Vec.set deriv p (Vec.get deriv p +. inc -. out)
+        end
       done
-    end
-    else
-      for a = 0 to m - 1 do
-        let p = ps.(a) in
-        let sigma_from_p =
-          Sampling.distribution policy.Policy.sampling inst ~commodity:ci
-            ~flow:bflow ~latencies:lat ~from_:p
-        in
-        for b = 0 to m - 1 do
-          if a <> b then begin
-            let q = ps.(b) in
-            let sigma_from_q =
-              Sampling.distribution policy.Policy.sampling inst ~commodity:ci
-                ~flow:bflow ~latencies:lat ~from_:q
-            in
-            let out =
-              Vec.get flow p *. sigma_from_p.(b)
-              *. mu ~ell_p:lat.(p) ~ell_q:lat.(q)
-            in
-            let inc =
-              Vec.get flow q *. sigma_from_q.(a)
-              *. mu ~ell_p:lat.(q) ~ell_q:lat.(p)
-            in
-            Vec.set deriv p (Vec.get deriv p +. inc -. out)
-          end
-        done
-      done
+    done
   done;
   deriv

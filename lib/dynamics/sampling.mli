@@ -25,22 +25,6 @@ type t =
           Räcke & Vöcking, STOC 2006) that escapes the boundary
           (uniform part) yet amplifies good paths (proportional part).
           Requires [gamma ∈ [0, 1]]. *)
-  | Custom of custom
-
-and custom = {
-  name : string;
-  prob :
-    Instance.t ->
-    commodity:int ->
-    flow:Flow.t ->
-    latencies:float array ->
-    from_:int ->
-    int ->
-    float;
-      (** [prob inst ~commodity ~flow ~latencies ~from_ q] is
-          [σ_{from_ q}]; [flow]/[latencies] are the posted (stale)
-          values, [from_] and [q] global path indices. *)
-}
 
 val distribution :
   t ->
@@ -48,11 +32,13 @@ val distribution :
   commodity:int ->
   flow:Flow.t ->
   latencies:float array ->
-  from_:int ->
   float array
 (** Probability of sampling each path of the commodity (aligned with
-    [Instance.paths_of_commodity]), from the agent's current path
-    [from_].  Sums to 1 up to rounding for the built-in rules. *)
+    [Instance.paths_of_commodity]), read from the posted [flow] and
+    [latencies].  Every rule is origin-independent ([σ_PQ = σ_Q]), so
+    one distribution serves every agent of the commodity.  Sums to 1 up
+    to rounding.  Allocates a fresh array and fills it with
+    {!distribution_into}. *)
 
 val distribution_into :
   t ->
@@ -60,23 +46,18 @@ val distribution_into :
   commodity:int ->
   flow:Flow.t ->
   latencies:float array ->
-  from_:int ->
   dst:float array ->
   unit
 (** {!distribution} written into the first [|P_i|] cells of [dst]
     (which must be at least that long) — lets {!Rate_kernel} reuse one
-    buffer across origins when compiling a board.  Raises
-    [Invalid_argument] when the buffer is too small. *)
-
-val origin_independent : t -> bool
-(** True when [σ_PQ] does not depend on [P] (all built-in rules); rate
-    computation exploits this. *)
+    buffer when compiling a board.  Raises [Invalid_argument] when the
+    buffer is too small. *)
 
 val positive : t -> bool
 (** Whether [σ_PQ > 0] is guaranteed for all [Q] — required by the
-    convergence theorems.  [Logit] and the built-ins satisfy it;
-    [Custom] rules are trusted to declare their own name and are
-    reported as [false]. *)
+    convergence theorems.  True for [Uniform], [Logit] and [Mixed]
+    with [gamma > 0]; also true for [Proportional], which holds on
+    interior posted flows (a path with [f_Q = 0] is absorbing). *)
 
 val name : t -> string
 val pp : Format.formatter -> t -> unit

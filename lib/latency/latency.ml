@@ -101,6 +101,17 @@ let add a b = Sum (a, b)
 let[@inline] clamp01 x =
   if x > 0. then if x > 1. then 1. else x else if x <= 0. then 0. else x
 
+(* The PWL segment holding [x < xs.(n-1)]: the last [i] with
+   [xs.(i) <= x] (0 when there is none, e.g. for NaN), by binary
+   search.  [eval_raw], [integral_raw] and [deriv_raw] share it. *)
+let segment xs x =
+  let lo = ref 0 and hi = ref (Array.length xs - 1) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if xs.(mid) <= x then lo := mid else hi := mid
+  done;
+  !lo
+
 let rec eval_raw f x =
   match f with
   | Const c -> c
@@ -118,13 +129,7 @@ let rec eval_raw f x =
       let n = Array.length xs in
       if x >= xs.(n - 1) then ys.(n - 1)
       else begin
-        (* Binary search for the segment containing x. *)
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if xs.(mid) <= x then lo := mid else hi := mid
-        done;
-        let i = !lo in
+        let i = segment xs x in
         let frac = (x -. xs.(i)) /. (xs.(i + 1) -. xs.(i)) in
         ys.(i) +. (frac *. (ys.(i + 1) -. ys.(i)))
       end
@@ -158,12 +163,7 @@ let rec integral_raw f x =
       if x >= xs.(n - 1) then
         cum.(n - 1) +. (ys.(n - 1) *. (x -. xs.(n - 1)))
       else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if xs.(mid) <= x then lo := mid else hi := mid
-        done;
-        let i = !lo in
+        let i = segment xs x in
         let dx = x -. xs.(i) in
         let y_at_x =
           ys.(i) +. (dx /. (xs.(i + 1) -. xs.(i)) *. (ys.(i + 1) -. ys.(i)))
@@ -241,12 +241,7 @@ let rec deriv_raw f x =
       let n = Array.length xs in
       if x >= xs.(n - 1) then 0.
       else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !hi - !lo > 1 do
-          let mid = (!lo + !hi) / 2 in
-          if xs.(mid) <= x then lo := mid else hi := mid
-        done;
-        let i = !lo in
+        let i = segment xs x in
         (ys.(i + 1) -. ys.(i)) /. (xs.(i + 1) -. xs.(i))
       end
   | Mm1 { capacity } ->

@@ -27,7 +27,7 @@
     from every byte-identity surface}: span data never enters traces,
     driver records or deterministic bench snapshots — it is only
     surfaced through the opt-in [routesim --profile] flag and the bench
-    [profile] mode, exactly like the [_ns] metrics (DESIGN.md §12).
+    [profile] mode (DESIGN.md §12).  No metric reads a clock.
 
     A recorder is single-domain state, like a [Probe.Memory] buffer:
     create one per run, never share one across pool tasks.  If the

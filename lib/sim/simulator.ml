@@ -97,7 +97,7 @@ let activate st rng ~time agent =
   let dist =
     Sampling.distribution st.config.policy.Policy.sampling st.inst
       ~commodity:ci ~flow:board.Bulletin_board.flow
-      ~latencies:board.Bulletin_board.path_latencies ~from_:p
+      ~latencies:board.Bulletin_board.path_latencies
   in
   let local = Rng.choose_weighted rng dist in
   let q = (Instance.paths_of_commodity st.inst ci).(local) in

@@ -3,8 +3,8 @@
     Unlike everything else in the library, values read here are {e not}
     reproducible from seeds — they measure the host, not the model.
     Consumers must keep them out of byte-identity surfaces (traces,
-    bench snapshots); the convention is the [_ns] suffix, which the
-    bench harness filters (see [CLAUDE.md]). *)
+    metrics, bench output).  The only consumer is [Staleroute_obs.Span],
+    whose profiles are printed by opt-in flags alone. *)
 
 val now_ns : unit -> float
 (** Nanoseconds since an arbitrary per-process epoch, nondecreasing

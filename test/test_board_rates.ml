@@ -104,28 +104,6 @@ let test_derivative_matches_pairwise_rates () =
       !manual (Vec.get d p)
   done
 
-let test_custom_sampling_used_by_rates () =
-  (* An origin-dependent custom rule goes through the general path. *)
-  let inst = Common.parallel 3 in
-  let rule =
-    Sampling.Custom
-      {
-        Sampling.name = "only-from-0-to-1";
-        prob =
-          (fun _ ~commodity:_ ~flow:_ ~latencies:_ ~from_ q ->
-            if from_ = 0 && q = 1 then 1. else if q = from_ then 1. else 0.);
-      }
-  in
-  let policy =
-    Policy.make ~sampling:rule
-      ~migration:(Migration.Scaled_linear { alpha = 1. })
-  in
-  let f = vec [| 0.8; 0.1; 0.1 |] in
-  let board = Bulletin_board.post inst ~time:0. f in
-  let d = Rates.flow_derivative inst policy ~board f in
-  check_close "path 2 untouched by custom rule" 0. (Vec.get d 2);
-  check_close "conservation" 0. (Vec.sum d)
-
 let suite =
   [
     case "board snapshots" test_board_snapshots;
@@ -138,5 +116,4 @@ let suite =
     case "replicator boundary" test_replicator_boundary_invariant;
     case "single-pair rate" test_migration_rate_single_pair;
     case "derivative = pairwise rates" test_derivative_matches_pairwise_rates;
-    case "custom sampling in rates" test_custom_sampling_used_by_rates;
   ]

@@ -104,16 +104,11 @@ let test_ignore_observes_only () =
       | Probe.Guard_trip { action = "ignore"; _ } -> true
       | _ -> false))
 
-(* End to end: a custom migration rule that emits NaN probabilities. *)
+(* End to end: a NaN logit parameter makes every sampling probability
+   NaN, at every board the run posts. *)
 let nan_policy =
-  Policy.make ~sampling:Sampling.Uniform
-    ~migration:
-      (Migration.Custom
-         {
-           name = "nan";
-           prob = (fun ~ell_p:_ ~ell_q:_ -> Float.nan);
-           alpha = None;
-         })
+  Policy.make ~sampling:(Sampling.Logit Float.nan)
+    ~migration:(Migration.Scaled_linear { alpha = 1. })
 
 let nan_config phases =
   {

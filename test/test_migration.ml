@@ -36,50 +36,13 @@ let test_relative () =
   check_close "no gain" 0. (mu ~ell_p:0.5 ~ell_q:1.);
   check_close "zero origin latency guarded" 0. (mu ~ell_p:0. ~ell_q:0.);
   check_close "full slack capped by scale" 0.5 (mu ~ell_p:5. ~ell_q:0.);
-  check_true "relative is not alpha-smooth" (Migration.alpha rule = None);
-  check_true "relative is selfish"
-    (Migration.is_selfish rule ~migration_prob_samples:21)
+  check_true "relative is not alpha-smooth" (Migration.alpha rule = None)
 
 let test_relative_scale_invariance () =
   (* The whole point: the rule only sees latency ratios. *)
   let mu = Migration.prob (Migration.Relative { scale = 1. }) in
   check_close "scale-free" (mu ~ell_p:1. ~ell_q:0.25)
     (mu ~ell_p:100. ~ell_q:25.)
-
-let test_custom () =
-  let rule =
-    Migration.Custom
-      {
-        Migration.name = "quadratic";
-        prob =
-          (fun ~ell_p ~ell_q ->
-            if ell_p > ell_q then
-              Float.min 1. (0.25 *. ((ell_p -. ell_q) ** 2.))
-            else 0.);
-        alpha = None;
-      }
-  in
-  check_close "quadratic prob" 0.25
-    (Migration.prob rule ~ell_p:1. ~ell_q:0.);
-  check_true "custom name" (Migration.name rule = "quadratic")
-
-let test_selfishness_check () =
-  check_true "linear selfish"
-    (Migration.is_selfish (Migration.Linear { ell_max = 1. })
-       ~migration_prob_samples:21);
-  check_true "better response selfish"
-    (Migration.is_selfish Migration.Better_response
-       ~migration_prob_samples:21);
-  let bad =
-    Migration.Custom
-      {
-        Migration.name = "migrates-to-worse";
-        prob = (fun ~ell_p:_ ~ell_q:_ -> 0.5);
-        alpha = None;
-      }
-  in
-  check_false "non-selfish detected"
-    (Migration.is_selfish bad ~migration_prob_samples:21)
 
 let test_smoothness_check () =
   check_true "linear is (1/lmax)-smooth"
@@ -93,17 +56,12 @@ let test_smoothness_check () =
   check_false "better response is not smooth"
     (Migration.check_smoothness Migration.Better_response ~samples:50
        ~ell_max:1.);
-  (* A custom rule that lies about its alpha must be caught. *)
-  let liar =
-    Migration.Custom
-      {
-        Migration.name = "liar";
-        prob = (fun ~ell_p ~ell_q -> if ell_p > ell_q then 1. else 0.);
-        alpha = Some 0.001;
-      }
-  in
+  (* A negative alpha declares a bound µ <= α(ℓ_P − ℓ_Q) below 0, which
+     the clamped µ = 0 breaks: the check must catch it. *)
   check_false "overclaimed smoothness detected"
-    (Migration.check_smoothness liar ~samples:50 ~ell_max:1.)
+    (Migration.check_smoothness
+       (Migration.Scaled_linear { alpha = -1. })
+       ~samples:50 ~ell_max:1.)
 
 let test_probabilities_bounded () =
   let rules =
@@ -111,6 +69,7 @@ let test_probabilities_bounded () =
       Migration.Better_response;
       Migration.Linear { ell_max = 0.5 };
       Migration.Scaled_linear { alpha = 10. };
+      Migration.Relative { scale = 1. };
     ]
   in
   List.iter
@@ -119,7 +78,9 @@ let test_probabilities_bounded () =
       List.iter
         (fun (p, q) ->
           let v = mu ~ell_p:p ~ell_q:q in
-          check_true "in [0,1]" (v >= 0. && v <= 1.))
+          check_true "in [0,1]" (v >= 0. && v <= 1.);
+          (* Selfish: never migrate to a path that is not better. *)
+          if q >= p then check_close ~eps:0. "selfish" 0. v)
         [ (0., 0.); (10., 0.); (0., 10.); (1., 0.999); (5., 5.) ])
     rules
 
@@ -141,8 +102,6 @@ let suite =
     case "scaled linear" test_scaled_linear;
     case "relative" test_relative;
     case "relative scale invariance" test_relative_scale_invariance;
-    case "custom" test_custom;
-    case "selfishness check" test_selfishness_check;
     case "smoothness check" test_smoothness_check;
     case "probabilities bounded" test_probabilities_bounded;
     prop_linear_smoothness_definition;

@@ -26,26 +26,6 @@ let instances () =
     all_ties 4;
   ]
 
-(* An origin-dependent rule, to exercise the kernel's general path. *)
-let custom_sampling =
-  Sampling.Custom
-    {
-      Sampling.name = "origin-parity";
-      prob =
-        (fun _ ~commodity:_ ~flow ~latencies ~from_ q ->
-          if from_ mod 2 = 0 then
-            (1. +. Staleroute_util.Vec.get flow q) /. 10.
-          else 1. /. (2. +. latencies.(q)));
-    }
-
-let custom_migration =
-  Migration.Custom
-    {
-      Migration.name = "sigmoid";
-      prob = (fun ~ell_p ~ell_q -> 1. /. (1. +. exp (ell_q -. ell_p)));
-      alpha = None;
-    }
-
 let builtin_samplings =
   [ Sampling.Uniform; Sampling.Proportional; Sampling.Logit 3.; Sampling.Mixed 0.25 ]
 
@@ -57,8 +37,16 @@ let builtin_migrations inst =
     Migration.Relative { scale = 0.5 };
   ]
 
-let samplings = builtin_samplings @ [ custom_sampling ]
-let migrations inst = builtin_migrations inst @ [ custom_migration ]
+(* Built-in migrations with a parameter outside their domain: no
+   factored shape, so every commodity is evaluated pair by pair. *)
+let out_of_domain_migrations =
+  [
+    Migration.Linear { ell_max = -2. };
+    Migration.Scaled_linear { alpha = -0.5 };
+    Migration.Relative { scale = 2. };
+  ]
+
+let migrations inst = builtin_migrations inst @ out_of_domain_migrations
 
 let flows inst r =
   [
@@ -96,19 +84,18 @@ let prop_kernel_matches_reference =
                       let fast = Rate_kernel.flow_derivative kernel flow in
                       Vec.dist_inf reference fast <= 1e-12)
                     (migrations inst))
-                samplings)
+                builtin_samplings)
             (flows inst r))
         (flows inst r))
 
 (* --- The factored kernel ---
 
-   Every policy without [Custom] parts compiles to sorted-latency prefix
-   sums instead of a dense matrix.  The properties below exercise it on
-   the boards where prefix sums are delicate: ties (the strict
-   ℓ_Q < ℓ_P edge), dead edges at [Faults.dead_latency] (sums that must
-   never subtract across 1e12), several commodities, and grown
-   instances whose commodities occupy several runs of the global
-   index. *)
+   Every in-domain policy compiles to sorted-latency prefix sums.  The
+   properties below exercise them on the boards where prefix sums are
+   delicate: ties (the strict ℓ_Q < ℓ_P edge), dead edges at
+   [Faults.dead_latency] (sums that must never subtract across 1e12),
+   several commodities, and grown instances whose commodities occupy
+   several runs of the global index. *)
 
 (* Three commodities from different corners of a 4x4 grid. *)
 let three_commodity () =
@@ -301,10 +288,10 @@ let prop_update_matches_build =
               done;
               !ok)
             (migrations inst))
-        samplings)
+        builtin_samplings)
 
 (* A posted NaN or infinite latency cannot be sorted into prefix sums:
-   that commodity is evaluated pair by pair, as the dense kernel would.
+   that commodity is evaluated pair by pair.
    The derivative is NaN exactly where the reference's is, and agrees
    elsewhere. *)
 let test_non_finite_board_pairwise () =
@@ -381,7 +368,7 @@ let test_factored_edge_boards () =
    build at every link, whether or not the update is handed the
    repost's changed set. *)
 let prop_update_chain_matches_build =
-  qcheck ~count:40
+  qcheck ~count:70
     "qcheck: update chain, with and without ?changed = fresh build (bitwise)"
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
@@ -391,7 +378,7 @@ let prop_update_chain_matches_build =
       let sampling =
         List.nth builtin_samplings (Rng.int r (List.length builtin_samplings))
       in
-      let migrations = builtin_migrations inst in
+      let migrations = migrations inst in
       let migration = List.nth migrations (Rng.int r (List.length migrations)) in
       let policy = Policy.make ~sampling ~migration in
       let delta = Bulletin_board.delta () in
@@ -462,7 +449,7 @@ let test_rate_accessor_matches_migration_rate () =
     done
   done;
   (* The kernel's inline µ must be [Migration.prob] bit for bit, for
-     every rule, under every sampling (σ_q from the origin p). *)
+     every rule, under every sampling. *)
   let lat = board.Bulletin_board.path_latencies in
   let bflow = board.Bulletin_board.flow in
   let sigma = Array.make (Instance.max_paths_in_commodity inst) 0. in
@@ -476,7 +463,7 @@ let test_rate_accessor_matches_migration_rate () =
           for p = 0 to Instance.path_count inst - 1 do
             let ci = Instance.commodity_of_path inst p in
             Sampling.distribution_into sampling inst ~commodity:ci ~flow:bflow
-              ~latencies:lat ~from_:p ~dst:sigma;
+              ~latencies:lat ~dst:sigma;
             Array.iter
               (fun q ->
                 if q <> p then begin
@@ -494,7 +481,7 @@ let test_rate_accessor_matches_migration_rate () =
               (Instance.paths_of_commodity inst ci)
           done)
         (migrations inst))
-    samplings
+    builtin_samplings
 
 let test_cross_commodity_rate_is_zero () =
   let inst = Common.two_commodity () in

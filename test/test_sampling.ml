@@ -11,7 +11,7 @@ let setup () =
 
 let dist rule =
   let inst, flow, latencies = setup () in
-  Sampling.distribution rule inst ~commodity:0 ~flow ~latencies ~from_:0
+  Sampling.distribution rule inst ~commodity:0 ~flow ~latencies
 
 let sums_to_one name d =
   check_close ~eps:1e-9 (name ^ " sums to 1") 1.
@@ -33,7 +33,7 @@ let test_proportional_zero_flow_path () =
   let flow = vec [| 1.; 0.; 0.; 0. |] in
   let d =
     Sampling.distribution Sampling.Proportional inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   check_close "dead path never sampled" 0. d.(1);
   check_close "alive path always sampled" 1. d.(0)
@@ -42,7 +42,7 @@ let test_logit_prefers_fast_paths () =
   let inst, flow, latencies = setup () in
   let d =
     Sampling.distribution (Sampling.Logit 5.) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   sums_to_one "logit" d;
   (* parallel-4 latencies at this flow: link order by latency varies;
@@ -63,13 +63,13 @@ let test_logit_limits () =
   (* c = 0: logit degenerates to uniform. *)
   let d0 =
     Sampling.distribution (Sampling.Logit 0.) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   Array.iter (fun p -> check_close "c=0 is uniform" 0.25 p) d0;
   (* c huge: all mass on the argmin. *)
   let dinf =
     Sampling.distribution (Sampling.Logit 1e6) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   let best = ref 0 in
   Array.iteri (fun i l -> if l < latencies.(!best) then best := i) latencies;
@@ -81,7 +81,7 @@ let test_logit_numerical_stability () =
   let latencies = [| 1e8; 2e8; 3e8; 4e8 |] in
   let d =
     Sampling.distribution (Sampling.Logit 1.) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   check_true "no NaN" (Array.for_all (fun p -> Float.is_finite p) d);
   sums_to_one "stable logit" d
@@ -90,7 +90,7 @@ let test_mixed_rule () =
   let inst, flow, latencies = setup () in
   let d =
     Sampling.distribution (Sampling.Mixed 0.4) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   sums_to_one "mixed" d;
   (* gamma/m + (1-gamma) f_Q. *)
@@ -99,12 +99,12 @@ let test_mixed_rule () =
   (* Limits: gamma = 1 is uniform, gamma = 0 is proportional. *)
   let u =
     Sampling.distribution (Sampling.Mixed 1.) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   Array.iter (fun p -> check_close "gamma=1 is uniform" 0.25 p) u;
   let pr =
     Sampling.distribution (Sampling.Mixed 0.) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   check_close "gamma=0 is proportional" 0.4 pr.(0)
 
@@ -115,7 +115,7 @@ let test_mixed_escapes_boundary () =
   let flow = vec [| 1.; 0.; 0.; 0. |] in
   let d =
     Sampling.distribution (Sampling.Mixed 0.2) inst ~commodity:0 ~flow
-      ~latencies ~from_:0
+      ~latencies
   in
   check_close "dead path reachable" 0.05 d.(1);
   check_true "mixed positive" (Sampling.positive (Sampling.Mixed 0.2));
@@ -127,30 +127,9 @@ let test_mixed_validation () =
   check_raises_invalid "gamma > 1" (fun () ->
       ignore
         (Sampling.distribution (Sampling.Mixed 1.5) inst ~commodity:0 ~flow
-           ~latencies ~from_:0))
-
-let test_custom_rule () =
-  let rule =
-    Sampling.Custom
-      {
-        Sampling.name = "always-path-2";
-        prob =
-          (fun _ ~commodity:_ ~flow:_ ~latencies:_ ~from_:_ q ->
-            if q = 2 then 1. else 0.);
-      }
-  in
-  let d = dist rule in
-  check_close "custom mass" 1. d.(2);
-  check_false "custom not origin independent"
-    (Sampling.origin_independent rule);
-  check_true "custom keeps its name"
-    (Sampling.name rule = "always-path-2")
+           ~latencies))
 
 let test_metadata () =
-  check_true "uniform origin independent"
-    (Sampling.origin_independent Sampling.Uniform);
-  check_true "proportional origin independent"
-    (Sampling.origin_independent Sampling.Proportional);
   check_true "uniform positive" (Sampling.positive Sampling.Uniform);
   check_true "logit positive" (Sampling.positive (Sampling.Logit 3.));
   check_true "names distinct"
@@ -172,31 +151,45 @@ let prop_distributions_are_distributions =
       in
       let d =
         Sampling.distribution rule inst ~commodity:0 ~flow ~latencies
-          ~from_:0
       in
       Array.for_all (fun p -> p >= -1e-12) d
       && Float.abs (Staleroute_util.Numerics.kahan_sum d -. 1.) < 1e-9)
 
+(* Each rule's σ written out from its definition, elementwise, with
+   the logit weights normalised by [Numerics.kahan_sum]. *)
+let reference rule inst ~flow ~latencies =
+  let ps = Instance.paths_of_commodity inst 0 in
+  let m = float_of_int (Array.length ps) and r = Instance.demand inst 0 in
+  let share q = Staleroute_util.Vec.get flow q /. r in
+  match rule with
+  | Sampling.Uniform -> Array.map (fun _ -> 1. /. m) ps
+  | Sampling.Proportional -> Array.map share ps
+  | Sampling.Logit c ->
+      let scores = Array.map (fun q -> -.c *. latencies.(q)) ps in
+      let top = Array.fold_left Float.max neg_infinity scores in
+      let w = Array.map (fun x -> exp (x -. top)) scores in
+      let total = Staleroute_util.Numerics.kahan_sum w in
+      Array.map (fun x -> x /. total) w
+  | Sampling.Mixed gamma ->
+      Array.map
+        (fun q ->
+          (gamma /. m) +. ((1. -. gamma) *. Staleroute_util.Vec.get flow q /. r))
+        ps
+
 let test_distribution_into_matches () =
   let inst, flow, latencies = setup () in
-  let custom =
-    Sampling.Custom
-      {
-        Sampling.name = "inverse-latency";
-        prob =
-          (fun _ ~commodity:_ ~flow:_ ~latencies ~from_:_ q ->
-            1. /. (1. +. latencies.(q)));
-      }
-  in
   List.iter
     (fun rule ->
-      let expected =
-        Sampling.distribution rule inst ~commodity:0 ~flow ~latencies ~from_:0
-      in
+      let expected = reference rule inst ~flow ~latencies in
+      check_true
+        (Sampling.name rule ^ ": distribution = definition, bitwise")
+        (Array.for_all2
+           (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+           expected
+           (Sampling.distribution rule inst ~commodity:0 ~flow ~latencies));
       (* Oversized buffer: only the first |P_i| cells are written. *)
       let dst = Array.make 6 nan in
-      Sampling.distribution_into rule inst ~commodity:0 ~flow ~latencies
-        ~from_:0 ~dst;
+      Sampling.distribution_into rule inst ~commodity:0 ~flow ~latencies ~dst;
       Array.iteri
         (fun j x ->
           check_close ~eps:0. (Sampling.name rule ^ " into, bitwise") x dst.(j))
@@ -204,13 +197,12 @@ let test_distribution_into_matches () =
       check_true "cells past |P_i| untouched" (Float.is_nan dst.(4));
       check_raises_invalid "buffer too small" (fun () ->
           Sampling.distribution_into rule inst ~commodity:0 ~flow ~latencies
-            ~from_:0 ~dst:(Array.make 2 0.)))
+            ~dst:(Array.make 2 0.)))
     [
       Sampling.Uniform;
       Sampling.Proportional;
       Sampling.Logit 2.;
       Sampling.Mixed 0.5;
-      custom;
     ]
 
 let suite =
@@ -224,7 +216,6 @@ let suite =
     case "mixed rule" test_mixed_rule;
     case "mixed escapes boundary" test_mixed_escapes_boundary;
     case "mixed validation" test_mixed_validation;
-    case "custom rule" test_custom_rule;
     case "metadata" test_metadata;
     case "distribution_into" test_distribution_into_matches;
     prop_distributions_are_distributions;
