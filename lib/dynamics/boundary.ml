@@ -37,6 +37,12 @@ type t = {
   rebuilds : Metrics.counter;
   faults_c : Metrics.counter;
   grown_c : Metrics.counter;
+  (* Column generation's fast-path fallbacks: pricing memo hits,
+     pricings that fell back to Dijkstra, and growths that copied the
+     incidence store instead of appending in place. *)
+  memo_hits_c : Metrics.counter;
+  fallbacks_c : Metrics.counter;
+  forks_c : Metrics.counter;
   repairs : Metrics.counter option;
   policy : Policy.t;
   faults : Faults.t;
@@ -49,6 +55,8 @@ type t = {
   (* The live down-set, refreshed by [outage]; [None] while every edge
      is alive, so outage-free posts keep the clean sparse path. *)
   mutable down : bool array option;
+  (* Pricing weights while edges are down, one buffer per run. *)
+  mutable alive : float array;
   mutable live : live option;
   (* The growing state: the active instance, the admissions (newest
      first) and the scratch pool sized to the active dimension.
@@ -80,6 +88,7 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
   | Some cg when not (Path_pool.instance cg == inst) ->
       fail "colgen pool was seeded over a different instance"
   | _ -> ());
+  let forks0 = Option.fold ~none:0 ~some:Path_pool.store_forks colgen in
   let active, grown, first, f0 =
     match resume with
     | None ->
@@ -106,6 +115,9 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
           fail "snapshot flow has wrong dimension";
         (active, List.rev r.grown_paths, r.next_index, Vec.copy r.start_flow)
   in
+  let colgen_metrics =
+    match colgen with Some _ -> metrics | None -> Metrics.null
+  in
   let b =
     {
       probe;
@@ -120,10 +132,10 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
         Metrics.counter
           (if Faults.is_null faults then Metrics.null else metrics)
           "faults_injected";
-      grown_c =
-        Metrics.counter
-          (match colgen with Some _ -> metrics | None -> Metrics.null)
-          "paths_grown";
+      grown_c = Metrics.counter colgen_metrics "paths_grown";
+      memo_hits_c = Metrics.counter colgen_metrics "colgen_memo_hits";
+      fallbacks_c = Metrics.counter colgen_metrics "colgen_dijkstra_fallbacks";
+      forks_c = Metrics.counter colgen_metrics "colgen_store_forks";
       repairs =
         Option.map (fun _ -> Metrics.counter metrics "guard_repairs") guard;
       policy;
@@ -136,6 +148,7 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
           ~edges:(Staleroute_graph.Digraph.edge_count (Instance.graph inst))
           ~phase:first;
       down = None;
+      alive = [||];
       live =
         Option.bind resume (fun r ->
             Option.map (restore active policy) r.posted);
@@ -144,6 +157,9 @@ let create ?(probe = Probe.null) ?(metrics = Metrics.null) ?(spans = Span.null)
       pool = Vec.Pool.create ~dim:(Instance.path_count active);
     }
   in
+  Option.iter
+    (fun cg -> Metrics.incr ~by:(Path_pool.store_forks cg - forks0) b.forks_c)
+    colgen;
   (b, f0)
 
 let instance b = b.inst
@@ -281,15 +297,27 @@ let grow b ~index ~time f =
       (* While edges are dead, pricing runs over the alive network: dead
          edges weigh [infinity] (pricing accepts it), so the oracle can
          admit a detour column but never a dead one. *)
+      let posted = Bulletin_board.edge_latencies l.board in
       let pricing_latencies =
         match b.down with
-        | None -> l.board.Bulletin_board.edge_latencies
+        | None -> posted
         | Some down ->
-            Faults.alive_latencies ~down l.board.Bulletin_board.edge_latencies
+            if Array.length b.alive <> Array.length posted then
+              b.alive <- Array.make (Array.length posted) 0.;
+            Faults.alive_latencies_into ~down posted b.alive;
+            b.alive
       in
+      let hits = Path_pool.memo_hits cg
+      and fallbacks = Path_pool.dijkstra_fallbacks cg
+      and forks = Path_pool.store_forks cg in
       let grown_set =
         Path_pool.grow cg b.inst ~edge_latencies:pricing_latencies
       in
+      Metrics.incr ~by:(Path_pool.memo_hits cg - hits) b.memo_hits_c;
+      Metrics.incr
+        ~by:(Path_pool.dijkstra_fallbacks cg - fallbacks)
+        b.fallbacks_c;
+      Metrics.incr ~by:(Path_pool.store_forks cg - forks) b.forks_c;
       Span.exit b.spans sp;
       match grown_set with
       | None -> f
@@ -353,7 +381,7 @@ let board_state b =
       {
         posted_at = l.board.Bulletin_board.posted_at;
         board_flow = Vec.copy l.board.Bulletin_board.flow;
-        board_latencies = Array.copy l.board.Bulletin_board.edge_latencies;
+        board_latencies = Array.copy (Bulletin_board.edge_latencies l.board);
       })
     b.live
 

@@ -69,7 +69,9 @@ val create :
 
     Registers the [board_reposts], [repost_dirty_edges],
     [repost_dirty_paths] and [kernel_rebuilds] counters, plus
-    [faults_injected] for a non-null plan, [paths_grown] under [colgen]
+    [faults_injected] for a non-null plan, [paths_grown],
+    [colgen_memo_hits], [colgen_dijkstra_fallbacks] and
+    [colgen_store_forks] under [colgen] (see {!Path_pool.memo_hits}),
     and [guard_repairs] under [guard].  The outage chain starts at
     update [next_index] (0 without [resume]); it is rebuilt purely from
     the plan, never checkpointed. *)

@@ -2,14 +2,47 @@ open Staleroute_wardrop
 module Vec = Staleroute_util.Vec
 module Latency = Staleroute_latency.Latency
 
+(* Edge latencies are a rerooting persistent array (Baker's trick, as in
+   Conchon & Filliâtre, "A Persistent Union-Find Data Structure", 2007)
+   whose versions are the boards themselves.  The boards of a family
+   share [cells]; the one whose [undo] is [Holder] finds its latencies
+   there, every other one through a chain of undo records leading to it:
+   the edges where it differs from the [next] board along the chain, and
+   its own values there.  Reading a board first makes it the holder. *)
 type t = {
   posted_at : float;
   flow : Flow.t;
   path_latencies : float array;
-  edge_latencies : float array;
+  cells : float array;
+  mutable undo : undo;
   revision : int;
   clean : bool;
 }
+
+and undo = Holder | Undo of { idx : int array; vals : float array; next : t }
+
+(* Make [b] the holder: make its successor the holder, then swap [b]'s
+   undo record into the cells, which turns the record into the
+   successor's. *)
+let rec reroot b =
+  match b.undo with
+  | Holder -> ()
+  | Undo { idx; vals; next } ->
+      reroot next;
+      let a = b.cells in
+      for i = 0 to Array.length idx - 1 do
+        let j = idx.(i) in
+        let x = a.(j) in
+        a.(j) <- vals.(i);
+        vals.(i) <- x
+      done;
+      b.undo <- Holder;
+      next.undo <- Undo { idx; vals; next = b }
+
+let edge_latencies b =
+  reroot b;
+  b.cells
+
 
 (* Process-wide post counter: every snapshot gets a strictly increasing
    revision, so a compiled kernel can prove it was built against the
@@ -28,15 +61,40 @@ let edge_count inst =
   Staleroute_graph.Digraph.edge_count (Instance.graph inst)
 
 (* The no-copy constructor behind every posting path: the caller owns
-   all three containers outright (it just built or copied them). *)
-let make_owned ~time ~flow ~path_latencies ~edge_latencies ~clean =
+   all three containers outright (it just built or copied them, or wrote
+   this board's latencies into its family's cells). *)
+let make_owned ~time ~flow ~path_latencies ~cells ~clean =
   {
     posted_at = time;
     flow;
     path_latencies;
-    edge_latencies;
+    cells;
+    undo = Holder;
     revision = next_revision ();
     clean;
+  }
+
+(* Deriving a board from its holder [prev] writes only the dirty cells
+   and keeps their old values in an undo record — unless a copy costs
+   no more: when the array fits the minor heap (at most
+   [Max_young_wosize] = 256 words), where it dies young with its board,
+   or when it is no larger than the record's two arrays.  A copy also
+   leaves [prev] untouched, whereas the record makes [prev] point at a
+   young board: once [prev] has been promoted, the minor collector
+   then promotes every board derived after it, live or not. *)
+let copy_is_cheaper ~length ~count = length <= 256 || length <= 2 * count
+
+(* [publish]'s "no previous board", so that [repost] hands its board
+   over without boxing it in an option. *)
+let none =
+  {
+    posted_at = nan;
+    flow = Vec.create 0 0.;
+    path_latencies = [||];
+    cells = [||];
+    undo = Holder;
+    revision = 0;
+    clean = false;
   }
 
 (* --- sparse-delta re-posting --- *)
@@ -90,30 +148,40 @@ let check_frame ~who inst ~prev ~edge_latencies flow =
   | Some el when Array.length el <> ec ->
       invalid_arg (who ^ ": one latency per edge required")
   | _ -> ());
-  match prev with
-  | Some prev
-    when Vec.dim prev.flow <> n || Array.length prev.edge_latencies <> ec ->
-      invalid_arg (who ^ ": previous board is over a different instance")
-  | _ -> ()
+  if prev != none && (Vec.dim prev.flow <> n || Array.length prev.cells <> ec)
+  then invalid_arg (who ^ ": previous board is over a different instance")
+
+let[@inline] mark_path d p =
+  if not (Array.unsafe_get d.path_mark p) then begin
+    Array.unsafe_set d.path_mark p true;
+    d.dirty_path.(d.n_dirty_paths) <- p;
+    d.n_dirty_paths <- d.n_dirty_paths + 1
+  end
 
 (* Recompute the latencies of every path incident to a listed dirty
    edge, via the transposed incidence; everything else keeps its copied
    (bit-identical) value.  Also fills [d.dirty_path] and clears the path
    marks on the way out. *)
 let refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies =
-  let t_off = Instance.edge_csr_offsets inst in
-  let t_paths = Instance.edge_csr_paths inst in
+  let n = Instance.path_count inst in
+  let { Instance.starts; root; links; heads; more } = Instance.edge_rows inst in
+  let grown = Array.length heads > 0 in
   d.n_dirty_paths <- 0;
   for i = 0 to d.n_dirty_edges - 1 do
     let e = d.dirty_edge.(i) in
-    for k = t_off.(e) to t_off.(e + 1) - 1 do
-      let p = Array.unsafe_get t_paths k in
-      if not (Array.unsafe_get d.path_mark p) then begin
-        Array.unsafe_set d.path_mark p true;
-        d.dirty_path.(d.n_dirty_paths) <- p;
-        d.n_dirty_paths <- d.n_dirty_paths + 1
+    for k = starts.(e) to starts.(e + 1) - 1 do
+      mark_path d (Array.unsafe_get root k)
+    done;
+    if grown then begin
+      let h = - links.(e) - 1 in
+      if h >= 0 && h < Array.length heads then begin
+        let k = ref (Array.unsafe_get heads h) in
+        while Array.unsafe_get more !k < n do
+          mark_path d (Array.unsafe_get more !k);
+          incr k
+        done
       end
-    done
+    end
   done;
   Flow.path_latencies_into inst ~edge_latencies ~paths:d.dirty_path
     ~count:d.n_dirty_paths path_latencies;
@@ -141,6 +209,13 @@ let[@inline] push_dirty_edge d e =
   d.dirty_edge.(d.n_dirty_edges) <- e;
   d.n_dirty_edges <- d.n_dirty_edges + 1
 
+(* The dirty edges' induced latencies into [dst]: their loads are
+   parked in their latency slots and evaluated in place. *)
+let induce d inst flow dst =
+  Flow.edge_flows_into inst flow ~edges:d.dirty_edge ~count:d.n_dirty_edges dst;
+  Latency.eval_into (Instance.latencies inst) ~edges:d.dirty_edge
+    ~count:d.n_dirty_edges dst dst
+
 (* The one posting routine behind [post] and [repost]: the only code
    that computes a new board's edge and path latencies.  The edge
    latencies are the caller's [edge_latencies] (copied; the board is
@@ -165,21 +240,20 @@ let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
   let d = match d with Some d -> d | None -> delta () in
   ensure d ~edges:ec ~paths:n;
   d.n_dirty_edges <- 0;
-  let sparse_prev =
-    match prev with
-    | Some p when p.clean || Option.is_some supplied -> prev
-    | _ -> None
-  in
-  (match (sparse_prev, supplied) with
-  | None, _ ->
+  (* Only a clean previous board's latencies are exactly the ones its
+     flow induces; supplied latencies are compared outright. *)
+  let sparse = prev != none && (prev.clean || Option.is_some supplied) in
+  (match supplied with
+  | _ when not sparse ->
       for e = 0 to ec - 1 do
         push_dirty_edge d e
       done
-  | Some prev, Some el ->
+  | Some el ->
+      let prev_el = edge_latencies prev in
       for e = 0 to ec - 1 do
-        if bits_differ el.(e) prev.edge_latencies.(e) then push_dirty_edge d e
+        if bits_differ el.(e) prev_el.(e) then push_dirty_edge d e
       done
-  | Some prev, None ->
+  | None ->
       let offsets = Instance.csr_offsets inst in
       let edges = Instance.csr_edges inst in
       for p = 0 to n - 1 do
@@ -196,39 +270,50 @@ let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
       for i = 0 to d.n_dirty_edges - 1 do
         d.edge_mark.(d.dirty_edge.(i)) <- false
       done);
-  let edge_latencies =
-    match (supplied, sparse_prev) with
-    | Some el, _ -> Array.copy el
-    | None, Some prev -> Array.copy prev.edge_latencies
-    | None, None -> Array.make ec 0.
+  let count = d.n_dirty_edges in
+  (* Over a previous board only the dirty edges are written: into a copy
+     of its latencies, or into its family's cells under an undo record. *)
+  let undo = sparse && not (copy_is_cheaper ~length:ec ~count) in
+  let cells =
+    if undo then edge_latencies prev
+    else
+      match supplied with
+      | Some el -> Array.copy el
+      | None ->
+          if sparse then Array.copy (edge_latencies prev) else Array.make ec 0.
   in
-  if Option.is_none supplied then begin
-    (* The loads are parked in the latency slots, evaluated in place. *)
-    Flow.edge_flows_into inst flow ~edges:d.dirty_edge ~count:d.n_dirty_edges
-      edge_latencies;
-    Latency.eval_into (Instance.latencies inst) ~edges:d.dirty_edge
-      ~count:d.n_dirty_edges edge_latencies edge_latencies
-  end;
+  let idx = if undo then Array.sub d.dirty_edge 0 count else [||] in
+  let vals = if undo then Array.create_float count else [||] in
+  for i = 0 to Array.length vals - 1 do
+    vals.(i) <- cells.(idx.(i))
+  done;
+  (match supplied with
+  | Some el ->
+      if undo then
+        for i = 0 to count - 1 do
+          cells.(idx.(i)) <- el.(idx.(i))
+        done
+  | None -> induce d inst flow cells);
   let path_latencies =
-    match sparse_prev with
-    | Some prev -> Array.copy prev.path_latencies
-    | None -> Array.make n 0.
+    if sparse then Array.copy prev.path_latencies else Array.make n 0.
   in
-  refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies;
-  (match prev with
-  | None -> ()
-  | Some prev ->
-      collect_changed d ~n ~flow ~pflow:prev.flow ~path_latencies
-        ~prev_path_latencies:prev.path_latencies);
-  make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~edge_latencies
-    ~clean:(Option.is_none supplied)
+  refresh_dirty_path_latencies d inst ~edge_latencies:cells ~path_latencies;
+  if prev != none then
+    collect_changed d ~n ~flow ~pflow:prev.flow ~path_latencies
+      ~prev_path_latencies:prev.path_latencies;
+  let b =
+    make_owned ~time ~flow:(Vec.copy flow) ~path_latencies ~cells
+      ~clean:(Option.is_none supplied)
+  in
+  if undo then prev.undo <- Undo { idx; vals; next = b };
+  b
 
 let post ?edge_latencies inst ~time flow =
-  publish ~who:"Bulletin_board.post" ?edge_latencies inst ~prev:None ~time flow
+  publish ~who:"Bulletin_board.post" ?edge_latencies inst ~prev:none ~time flow
 
 let repost ?delta ?edge_latencies inst ~prev ~time flow =
   publish ~who:"Bulletin_board.repost" ?delta ?edge_latencies inst
-    ~prev:(Some prev) ~time flow
+    ~prev ~time flow
 
 let restore inst ~time ~flow ~edge_latencies =
   (* Checkpoint-resume constructor: [post ~edge_latencies] plus a
@@ -238,9 +323,10 @@ let restore inst ~time ~flow ~edge_latencies =
      exactly the ones its flow induces gets its [clean] bit back. *)
   let b = post ~edge_latencies inst ~time flow in
   let induced = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
+  let posted = b.cells in
   let clean = ref true in
   for e = 0 to Array.length induced - 1 do
-    if bits_differ induced.(e) b.edge_latencies.(e) then clean := false
+    if bits_differ induced.(e) posted.(e) then clean := false
   done;
   { b with clean = !clean }
 
@@ -249,22 +335,32 @@ let repost_grown inst ~prev =
   let n0 = Vec.dim prev.flow in
   if n < n0 then
     invalid_arg "Bulletin_board.repost_grown: the path set shrank";
-  if Array.length prev.edge_latencies <> edge_count inst then
+  if Array.length prev.cells <> edge_count inst then
     invalid_arg
       "Bulletin_board.repost_grown: previous board is over a different graph";
   (* Same snapshot over the grown index: admitted columns carry zero
-     posted flow, so edge flows — hence edge latencies — are untouched,
-     and the latency array is shared with [prev] outright (boards are
-     immutable).  Only the new columns' path latencies are computed. *)
+     posted flow, so edge flows — hence edge latencies — are untouched:
+     the new board takes over [prev]'s cells under an empty undo record
+     (or copies them, when that is cheaper).  Only the new columns' path
+     latencies are computed. *)
   let path_latencies = Array.make n 0. in
   Array.blit prev.path_latencies 0 path_latencies 0 n0;
-  let edge_latencies = prev.edge_latencies in
+  let edge_latencies = edge_latencies prev in
   for p = n0 to n - 1 do
     path_latencies.(p) <- Flow.path_latency inst ~edge_latencies p
   done;
-  make_owned ~time:prev.posted_at
-    ~flow:(Vec.extend prev.flow ~dim:n)
-    ~path_latencies ~edge_latencies ~clean:prev.clean
+  let share =
+    not (copy_is_cheaper ~length:(Array.length edge_latencies) ~count:0)
+  in
+  let b =
+    make_owned ~time:prev.posted_at
+      ~flow:(Vec.extend prev.flow ~dim:n)
+      ~path_latencies
+      ~cells:(if share then edge_latencies else Array.copy edge_latencies)
+      ~clean:prev.clean
+  in
+  if share then prev.undo <- Undo { idx = [||]; vals = [||]; next = b };
+  b
 
 let revision b = b.revision
 

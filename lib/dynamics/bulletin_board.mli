@@ -9,24 +9,50 @@
     bits, and still produces a board {b bitwise identical} to a fresh
     {!post}.  Both are one routine: a {!post} is a repost with every
     edge dirty, and dirty edge loads come from [Flow.edge_flows_into],
-    the one load gather. *)
+    the one load gather.
+
+    Edge latencies are a rerooting persistent array (Conchon &
+    Filliâtre, "A Persistent Union-Find Data Structure", 2007) whose
+    versions are the boards: a board and the boards reposted from it
+    share one array, a repost writes its dirty edges only
+    (O(dirty edges), never O(edges)) and keeps their old values in an
+    undo record, and reading an older board replays the records between
+    it and the newest first.  So every board still reads its own bits,
+    but the boards of one family must be read from one domain at a time
+    — as a run does, since each run reposts its own chain.  Where a copy
+    costs no more (an array of at most 256 edges, or a repost that
+    dirties half of them), a repost copies instead and starts a family
+    of its own. *)
 
 open Staleroute_wardrop
+
+type undo
+(** How a board that is not its family's newest reaches its latencies. *)
 
 type t = private {
   posted_at : float;          (** time [t̂] of the snapshot *)
   flow : Flow.t;              (** [f(t̂)] *)
   path_latencies : float array;  (** [ℓ_P(f(t̂))] by global path index *)
-  edge_latencies : float array;  (** [ℓ_e(f(t̂))] by edge id *)
+  cells : float array;
+      (** the edge-latency cells of the board's family — its own
+          [ℓ_e(f(t̂))] only after {!edge_latencies}; read through that *)
+  mutable undo : undo;
   revision : int;             (** process-wide post ordinal, see {!revision} *)
   clean : bool;
-      (** whether [edge_latencies] are exactly the ones [flow] induces —
+      (** whether the edge latencies are exactly the ones [flow] induces —
           [true] for {!post}/{!repost} snapshots of the flow, [false]
           when the caller supplied [?edge_latencies] (fault injection
           posts mixed-age or noisy boards).  {!repost} only trusts the
           sparse gather from a clean previous board; from an unclean
           one it dirties every edge. *)
 }
+
+val edge_latencies : t -> float array
+(** The board's edge latencies [ℓ_e(f(t̂))] by edge id, without a copy:
+    the family's shared array, after replaying it to this board.  Valid
+    until another board of the family is read or reposted from; do not
+    mutate.  On the newest board of a family (the live board of a run)
+    this is O(1). *)
 
 val post :
   ?edge_latencies:float array -> Instance.t -> time:float -> Flow.t -> t
@@ -58,10 +84,11 @@ val restore :
 
 type delta
 (** Persistent scratch for {!repost}: dirty-edge and
-    dirty-path marks, their packed lists, and the changed-path set.
-    Reusable across reposts (the driver paths allocate one per run), so
-    a steady-state repost allocates nothing beyond the new board's own
-    arrays.  Auto-resizes to the largest instance it has served; not
+    dirty-path marks, their packed lists, and the changed-path set.  Reusable across reposts (the
+    driver paths allocate one per run), so a steady-state repost
+    allocates only the new board's flow, path latencies and the old
+    values of its dirty edges — nothing sized by the edge count.
+    Auto-resizes to the largest instance it has served; not
     shareable across domains (single-domain state, like probes). *)
 
 val delta : unit -> delta
@@ -112,9 +139,9 @@ val repost :
 val repost_grown : Instance.t -> prev:t -> t
 (** Re-post [prev] over a grown active set ([inst] must be an
     {!Instance.extend} of the instance [prev] was posted over): same
-    snapshot time, flow zero-extended, edge latencies {e shared} with
+    snapshot time, flow zero-extended, the very edge-latency version of
     [prev] (admitted columns carry zero posted flow, so edge flows are
-    untouched — boards are immutable), and only the new columns' path
+    untouched), and only the new columns' path
     latencies computed.  Bitwise identical to [post ~edge_latencies]
     of [prev]'s latencies over the grown instance, except that
     cleanliness is inherited from [prev] (so the next {!repost} stays

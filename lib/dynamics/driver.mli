@@ -147,7 +147,9 @@ val run :
     [Kernel_rebuild] pair (a grown set is a new revision — the board is
     re-posted over the grown index with the same snapshot time and edge
     latencies, and the kernel is compiled afresh by
-    {!Rate_kernel.build} over the grown instance).  A [paths_grown] counter is maintained when
+    {!Rate_kernel.build} over the grown instance).  A [paths_grown]
+    counter, and the [colgen_memo_hits], [colgen_dijkstra_fallbacks] and
+    [colgen_store_forks] fallback counters, are maintained when
     [metrics] is live (created only when [colgen] is supplied, so
     colgen-free metric snapshots are unchanged).  Growth is a pure
     function of the posted board and the tolerance — same-seed runs

@@ -334,8 +334,10 @@ let dead_edge_latencies inst ~down flow =
   done;
   el
 
-let alive_latencies ~down latencies =
-  Array.mapi (fun e l -> if down.(e) then infinity else l) latencies
+let alive_latencies_into ~down latencies dst =
+  for e = 0 to Array.length latencies - 1 do
+    dst.(e) <- (if down.(e) then infinity else latencies.(e))
+  done
 
 (* Pin the dead edges in a freshly allocated latency array.  Callers
    below only apply this to arrays they just built, never to a board's
@@ -362,7 +364,7 @@ let board ?delta ?down t ~index fault inst ~time ~prev flow =
            recovered one posted dead for another phase (mixed-age
            boards are inconsistent by design). *)
         let fresh = Flow.edge_latencies inst (Flow.edge_flows inst flow) in
-        let stale = old.Bulletin_board.edge_latencies in
+        let stale = Bulletin_board.edge_latencies old in
         let rng = rng_for t ~index ~stream:1 in
         Some
           (apply_down down

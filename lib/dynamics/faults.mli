@@ -205,8 +205,10 @@ val dead_edge_latencies : Instance.t -> down:bool array -> Flow.t -> float array
     {!dead_latency} — what a clean re-post posts while the down-set is
     non-empty. *)
 
-val alive_latencies : down:bool array -> float array -> float array
-(** A copy of [latencies] with dead edges at [infinity] — the pricing
-    weights for column generation, so pricing never routes a detour
-    over a dead edge ({!Staleroute_graph.Shortest_path} accepts
-    [infinity]; it only rejects negative weights). *)
+val alive_latencies_into : down:bool array -> float array -> float array -> unit
+(** [alive_latencies_into ~down latencies dst] writes [latencies] into
+    [dst] with dead edges at [infinity] — the pricing weights for column
+    generation, so pricing never routes a detour over a dead edge
+    ({!Staleroute_graph.Shortest_path} accepts [infinity]; it only
+    rejects negative weights).  [dst] is the caller's buffer, one per
+    run, so pricing under an outage allocates nothing. *)

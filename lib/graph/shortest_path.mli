@@ -16,7 +16,10 @@
     The forward-star arrays and the order are the graph's cached
     {!Digraph.dag}, built once per graph.  Weights follow Dijkstra's
     rules: one per edge, non-negative, [infinity] allowed (a dead
-    edge); anything else raises [Invalid_argument]. *)
+    edge); anything else raises [Invalid_argument].  The pass checks
+    each weight as it visits its slot, and it reuses one set of
+    per-node arrays per domain, so a call allocates only its answer and
+    calls from several domains do not share scratch. *)
 
 type verdict =
   | Decided of (Path.t * float) option

@@ -141,19 +141,34 @@ let evacuate inst ~dead f =
 
 (* The one load gather: each listed edge's transpose row summed from
    [0.] in ascending path index, skipping zero flows.  The dimension
-   check guards the unchecked reads. *)
+   check guards the unchecked reads: a row only yields indices below
+   the path count. *)
 let edge_flows_into inst f ~edges ~count dst =
-  if Vec.dim f <> Instance.path_count inst then
+  let n = Instance.path_count inst in
+  if Vec.dim f <> n then
     invalid_arg "Flow.edge_flows_into: flow dimension is not the path count";
-  let t_off = Instance.edge_csr_offsets inst in
-  let t_paths = Instance.edge_csr_paths inst in
+  let { Instance.starts; root; links; heads; more } = Instance.edge_rows inst in
+  let grown = Array.length heads > 0 in
   for i = 0 to count - 1 do
     let e = edges.(i) in
     let acc = ref 0. in
-    for k = t_off.(e) to t_off.(e + 1) - 1 do
-      let fp = Vec.unsafe_get f (Array.unsafe_get t_paths k) in
+    for k = starts.(e) to starts.(e + 1) - 1 do
+      let fp = Vec.unsafe_get f (Array.unsafe_get root k) in
       if fp <> 0. then acc := !acc +. fp
     done;
+    if grown then begin
+      let h = - links.(e) - 1 in
+      if h >= 0 && h < Array.length heads then begin
+        let k = ref (Array.unsafe_get heads h) in
+        let p = ref (Array.unsafe_get more !k) in
+        while !p < n do
+          let fp = Vec.unsafe_get f !p in
+          if fp <> 0. then acc := !acc +. fp;
+          incr k;
+          p := Array.unsafe_get more !k
+        done
+      end
+    end;
     dst.(e) <- !acc
   done
 

@@ -1,24 +1,6 @@
 open Staleroute_graph
 module Latency = Staleroute_latency.Latency
 
-type t = {
-  graph : Digraph.t;
-  latencies : Latency.t array;
-  commodities : Commodity.t array;
-  paths : Path.t array;
-  commodity_of_path : int array;
-  paths_of_commodity : int array array;
-  local_index_of_path : int array;
-  csr_offsets : int array;
-  csr_edges : int array;
-  edge_csr_offsets : int array;
-  edge_csr_paths : int array;
-  used_edges : int array;
-  max_path_length : int;
-  beta : float;
-  ell_max : float;
-}
-
 exception
   Path_set_too_large of { commodity : int; cap : int }
 
@@ -33,117 +15,99 @@ let () =
              commodity cap)
     | _ -> None)
 
-(* Transposed incidence (edge -> path CSR), derived from the path -> edge
-   CSR by counting sort.  Each edge row lists the global indices of the
-   paths traversing it in {e ascending} order, the order
-   [Flow.edge_flows_into] sums it in.  The counting sort below visits
-   paths in ascending order, so rows come out sorted by construction.  The
-   used-edge index (ascending ids of the non-empty rows) is counted in
-   the counting pass and filled in the prefix-sum pass: no extra pass
-   over the edges. *)
-let transpose_csr ~edge_count ~path_count ~csr_offsets ~csr_edges =
-  let offsets = Array.make (edge_count + 1) 0 in
+(* The edge -> path transpose.  Row [e] lists the paths traversing edge
+   [e] in ascending index, the order [Flow.edge_flows_into] sums it in.
+   An instance with [n] paths reads it in two parts:
+   - in [root], built once per store (see [store] below): the row's
+     paths at build time, cells [starts.(e) .. starts.(e+1) - 1];
+   - when [links.(e) = -h - 1] with [h < Array.length heads]: the cells
+     of [more] from [heads.(h)] up to the first one [>= n].
+   [links.(e)] is [free] until the row first grows, then names its
+   continuation [h] for good.  A continuation of capacity [c] at [pos]
+   is a block: [more.(pos - 2) = c], [more.(pos - 1)] its path count,
+   [c] path cells, then a [free] cell that ends it.
+
+   Growth writes new paths into their block's free cells, which no
+   older instance reads (it stops at the first path it does not have),
+   or, when the block is full, copies it into a new block of twice the
+   size at [top], the end of [more]'s used part.  [heads] is each
+   instance's own (every growth copies it), so a moved block never
+   moves under an older instance.  When [more] is full, the live blocks
+   are copied in ascending edge order into a new array of twice their
+   size; older instances keep the old one. *)
+type edge_rows = {
+  starts : int array;
+  root : int array;
+  links : int array;
+  heads : int array;
+  more : int array;
+}
+
+let free = max_int
+
+(* A growth chain's shared state.  [tip] is the path count of the
+   chain's newest instance: an extension of that instance claims it by
+   compare-and-set and writes in place, only into cells that no older
+   instance reads.  [top] is the first unused cell of the newest
+   instance's [more]; only the claimant touches it. *)
+type store = { tip : int Atomic.t; mutable top : int }
+
+type t = {
+  graph : Digraph.t;
+  latencies : Latency.t array;
+  commodities : Commodity.t array;
+  paths : Path.t array;
+  commodity_of_path : int array;
+  paths_of_commodity : int array array;
+  local_index_of_path : int array;
+  (* Path -> edge CSR.  Both arrays may run past this instance's
+     [path_count + 1] offsets and their incidences: spare capacity,
+     which the chain's newer instances fill in. *)
+  csr_offsets : int array;
+  csr_edges : int array;
+  rows : edge_rows;
+  store : store;
+  used_edges : int array;
+  max_path_length : int;
+  beta : float;
+  ell_max : float;
+}
+
+(* The transpose of a path set built from scratch, by counting sort: the
+   constructor behind [of_paths] and behind a store fork.  The used-edge
+   index (ascending ids of the non-empty rows) is counted in the
+   counting pass and filled in the prefix-sum pass.  Each row is filled
+   backwards, over the paths in descending order, so the rows come out
+   ascending; the row's cursor meanwhile is its link cell. *)
+let build_rows ~edge_count ~path_count ~csr_offsets ~csr_edges =
+  let starts = Array.make (edge_count + 1) 0 in
   let nnz = csr_offsets.(path_count) in
   let n_used = ref 0 in
   for k = 0 to nnz - 1 do
     let e = csr_edges.(k) in
-    if offsets.(e + 1) = 0 then incr n_used;
-    offsets.(e + 1) <- offsets.(e + 1) + 1
+    if starts.(e + 1) = 0 then incr n_used;
+    starts.(e + 1) <- starts.(e + 1) + 1
   done;
   let used = Array.make !n_used 0 in
   let u = ref 0 in
   for e = 0 to edge_count - 1 do
-    if offsets.(e + 1) > 0 then begin
+    if starts.(e + 1) > 0 then begin
       used.(!u) <- e;
       incr u
     end;
-    offsets.(e + 1) <- offsets.(e + 1) + offsets.(e)
+    starts.(e + 1) <- starts.(e + 1) + starts.(e)
   done;
-  let paths = Array.make (max 1 nnz) 0 in
-  let cursor = Array.copy offsets in
-  for p = 0 to path_count - 1 do
+  let root = Array.make (max 1 nnz) 0 in
+  let links = Array.sub starts 1 edge_count in
+  for p = path_count - 1 downto 0 do
     for k = csr_offsets.(p) to csr_offsets.(p + 1) - 1 do
       let e = csr_edges.(k) in
-      paths.(cursor.(e)) <- p;
-      cursor.(e) <- cursor.(e) + 1
+      links.(e) <- links.(e) - 1;
+      root.(links.(e)) <- p
     done
   done;
-  (offsets, paths, used)
-
-(* [transpose_csr] of a grown CSR whose paths [n ..] are new, from [t]'s
-   transpose by a linear merge.  The new incidences, sorted by (edge,
-   path), are spliced in after the old entries of their rows — new
-   paths carry the largest indices, so every row stays ascending and
-   the arrays equal a from-scratch build.  Old rows move by block
-   copies; the offsets take one integer pass over the edges. *)
-let merge_transpose t ~n ~csr_offsets ~csr_edges =
-  let n' = Array.length csr_offsets - 1 in
-  let span = n' - n in
-  let k0 = csr_offsets.(n) in
-  let added = csr_offsets.(n') - k0 in
-  let keys = Array.make added 0 in
-  for p = n to n' - 1 do
-    for k = csr_offsets.(p) to csr_offsets.(p + 1) - 1 do
-      keys.(k - k0) <- (csr_edges.(k) * span) + (p - n)
-    done
-  done;
-  Array.sort Int.compare keys;
-  let old_off = t.edge_csr_offsets and old_paths = t.edge_csr_paths in
-  let edge_count = Array.length old_off - 1 in
-  let old_nnz = old_off.(edge_count) in
-  let edge_of i = if i < added then keys.(i) / span else max_int in
-  let offsets = Array.make (edge_count + 1) 0 in
-  let seen = ref 0 and next = ref (edge_of 0) in
-  for e = 0 to edge_count - 1 do
-    while !next = e do
-      incr seen;
-      next := edge_of !seen
-    done;
-    offsets.(e + 1) <- old_off.(e + 1) + !seen
-  done;
-  let paths = Array.make (max 1 (old_nnz + added)) 0 in
-  (* The edges whose row was empty are the used-edge index's new
-     entries, met in ascending order. *)
-  let fresh = Array.make added 0 and n_fresh = ref 0 in
-  let src = ref 0 and dst = ref 0 and i = ref 0 in
-  while !i < added do
-    let e = edge_of !i in
-    let upto = old_off.(e + 1) in
-    if old_off.(e) = upto then begin
-      fresh.(!n_fresh) <- e;
-      incr n_fresh
-    end;
-    Array.blit old_paths !src paths !dst (upto - !src);
-    dst := !dst + (upto - !src);
-    src := upto;
-    while edge_of !i = e do
-      paths.(!dst) <- n + (keys.(!i) mod span);
-      incr dst;
-      incr i
-    done
-  done;
-  Array.blit old_paths !src paths !dst (old_nnz - !src);
-  let used =
-    if !n_fresh = 0 then t.used_edges
-    else begin
-      let old_used = t.used_edges in
-      let n_old = Array.length old_used in
-      let used = Array.make (n_old + !n_fresh) 0 in
-      let j = ref 0 and k = ref 0 in
-      for u = 0 to Array.length used - 1 do
-        if !k < !n_fresh && (!j = n_old || fresh.(!k) < old_used.(!j)) then begin
-          used.(u) <- fresh.(!k);
-          incr k
-        end
-        else begin
-          used.(u) <- old_used.(!j);
-          incr j
-        end
-      done;
-      used
-    end
-  in
-  (offsets, paths, used)
+  Array.fill links 0 edge_count free;
+  ({ starts; root; links; heads = [||]; more = [||] }, used)
 
 (* Shared table builder: everything an instance derives from an explicit
    per-commodity path-set assignment.  [create] feeds it the full
@@ -191,8 +155,8 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
         (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e)
         (Path.edge_id_array path))
     paths;
-  let edge_csr_offsets, edge_csr_paths, used_edges =
-    transpose_csr ~edge_count:(Digraph.edge_count graph) ~path_count
+  let rows, used_edges =
+    build_rows ~edge_count:(Digraph.edge_count graph) ~path_count
       ~csr_offsets ~csr_edges
   in
   let max_path_length =
@@ -230,8 +194,8 @@ let build_tables ~graph ~latencies ~commodities ~per_commodity =
     local_index_of_path;
     csr_offsets;
     csr_edges;
-    edge_csr_offsets;
-    edge_csr_paths;
+    rows;
+    store = { tip = Atomic.make path_count; top = 0 };
     used_edges;
     max_path_length;
     beta;
@@ -310,6 +274,161 @@ let of_paths ~graph ~latencies ~commodities ~paths () =
   in
   build_tables ~graph ~latencies ~commodities ~per_commodity
 
+(* [a] with room for [need] cells, its first [keep] kept: [a] itself when
+   [own] and it is long enough, else a copy of at least twice the
+   length. *)
+let room ~own a ~keep ~need =
+  if own && Array.length a >= need then a
+  else begin
+    let b = Array.make (max need (2 * keep)) 0 in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
+(* Append the transpose entries of the new paths [n .. n'-1] (CSR rows
+   already written) to [rows], in place: the caller holds the store's
+   claim.  The new incidences, sorted by (edge, path), go to the end of
+   their rows — new paths carry the largest indices, so every row stays
+   ascending and reads exactly as a from-scratch build.  [used] (the
+   used edges before growth) orders a compaction.  Returns the grown
+   rows and the newly used edges, ascending, with their count. *)
+let append_rows rows store ~used ~n ~n' ~csr_offsets ~csr_edges =
+  let span = n' - n in
+  let k0 = csr_offsets.(n) in
+  let added = csr_offsets.(n') - k0 in
+  let keys = Array.make added 0 in
+  for p = n to n' - 1 do
+    for k = csr_offsets.(p) to csr_offsets.(p + 1) - 1 do
+      keys.(k - k0) <- (csr_edges.(k) * span) + (p - n)
+    done
+  done;
+  Array.sort Int.compare keys;
+  let group_end i =
+    let e = keys.(i) / span in
+    let j = ref (i + 1) in
+    while !j < added && keys.(!j) / span = e do
+      incr j
+    done;
+    !j
+  in
+  let { starts; links; heads; more; _ } = rows in
+  (* First pass: the rows that get a continuation, and the cells the
+     new and the moved blocks take. *)
+  let new_rows = ref 0 and need = ref 0 in
+  let i = ref 0 in
+  while !i < added do
+    let j = group_end !i in
+    let m = j - !i and v = links.(keys.(!i) / span) in
+    if v = free then begin
+      incr new_rows;
+      need := !need + (2 * m) + 3
+    end
+    else begin
+      let pos = heads.(-v - 1) in
+      let count = more.(pos - 1) + m in
+      if count > more.(pos - 2) then need := !need + (2 * count) + 3
+    end;
+    i := j
+  done;
+  let nh = Array.length heads in
+  let heads = Array.append heads (Array.make !new_rows 0) in
+  let more =
+    if store.top + !need <= Array.length more then more
+    else begin
+      let live = ref 0 in
+      for h = 0 to nh - 1 do
+        live := !live + more.(heads.(h) - 2) + 3
+      done;
+      let fresh = Array.make (2 * (!live + !need)) free in
+      store.top <- 0;
+      Array.iter
+        (fun e ->
+          let v = links.(e) in
+          if v <> free then begin
+            let h = -v - 1 in
+            let pos = heads.(h) and at = store.top + 2 in
+            let cap = more.(pos - 2) and count = more.(pos - 1) in
+            fresh.(at - 2) <- cap;
+            fresh.(at - 1) <- count;
+            Array.blit more pos fresh at count;
+            heads.(h) <- at;
+            store.top <- at + cap + 1
+          end)
+        used;
+      fresh
+    end
+  in
+  (* A new block of capacity [cap] holding [count] paths, at [top]. *)
+  let block ~cap ~count =
+    let at = store.top + 2 in
+    more.(at - 2) <- cap;
+    more.(at - 1) <- count;
+    store.top <- at + cap + 1;
+    at
+  in
+  let fresh = Array.make added 0 and n_fresh = ref 0 and next_h = ref nh in
+  let i = ref 0 in
+  while !i < added do
+    let j = group_end !i in
+    let e = keys.(!i) / span and m = j - !i in
+    let write at =
+      for k = 0 to m - 1 do
+        more.(at + k) <- n + (keys.(!i + k) mod span)
+      done
+    in
+    let v = links.(e) in
+    if v = free then begin
+      if starts.(e) = starts.(e + 1) then begin
+        fresh.(!n_fresh) <- e;
+        incr n_fresh
+      end;
+      let at = block ~cap:(2 * m) ~count:m in
+      write at;
+      heads.(!next_h) <- at;
+      (* Paths before link, so a reader never follows a link to an
+         unwritten block. *)
+      links.(e) <- - !next_h - 1;
+      incr next_h
+    end
+    else begin
+      let h = -v - 1 in
+      let pos = heads.(h) in
+      let count = more.(pos - 1) in
+      if count + m <= more.(pos - 2) then begin
+        write (pos + count);
+        more.(pos - 1) <- count + m
+      end
+      else begin
+        let at = block ~cap:(2 * (count + m)) ~count:(count + m) in
+        Array.blit more pos more at count;
+        write (at + count);
+        heads.(h) <- at
+      end
+    end;
+    i := j
+  done;
+  ({ rows with heads; more }, fresh, !n_fresh)
+
+(* [used] with the ascending edges [fresh.(0 .. count-1)] merged in. *)
+let merge_used used fresh count =
+  if count = 0 then used
+  else begin
+    let n_old = Array.length used in
+    let merged = Array.make (n_old + count) 0 in
+    let j = ref 0 and k = ref 0 in
+    for u = 0 to Array.length merged - 1 do
+      if !k < count && (!j = n_old || fresh.(!k) < used.(!j)) then begin
+        merged.(u) <- fresh.(!k);
+        incr k
+      end
+      else begin
+        merged.(u) <- used.(!j);
+        incr j
+      end
+    done;
+    merged
+  end
+
 let extend t ~paths =
   if paths = [] then t
   else begin
@@ -368,21 +487,6 @@ let extend t ~paths =
         if added_per_ci.(ci) <> [] then
           Array.iteri (fun j p -> local_index_of_path.(p) <- j) ps)
       paths_of_commodity;
-    let csr_offsets = Array.make (n' + 1) 0 in
-    Array.blit t.csr_offsets 0 csr_offsets 0 (n + 1);
-    for p = n to n' - 1 do
-      csr_offsets.(p + 1) <- csr_offsets.(p) + Path.length paths.(p)
-    done;
-    let csr_edges = Array.make (max 1 csr_offsets.(n')) 0 in
-    Array.blit t.csr_edges 0 csr_edges 0 t.csr_offsets.(n);
-    for p = n to n' - 1 do
-      Array.iteri
-        (fun k e -> csr_edges.(csr_offsets.(p) + k) <- e)
-        (Path.edge_id_array paths.(p))
-    done;
-    let edge_csr_offsets, edge_csr_paths, used_edges =
-      merge_transpose t ~n ~csr_offsets ~csr_edges
-    in
     let max_path_length =
       Array.fold_left
         (fun m (_, p) -> max m (Path.length p))
@@ -401,6 +505,38 @@ let extend t ~paths =
     in
     if not (Float.is_finite ell_max) then
       invalid_arg "Instance.extend: maximum path latency is not finite";
+    (* The newest instance of a chain appends in place, into cells no
+       older instance reads; any other instance (or a lost race for the
+       tip) starts a new chain from a from-scratch transpose of its own
+       view. *)
+    let own = Atomic.compare_and_set t.store.tip n n' in
+    let nnz = t.csr_offsets.(n) in
+    let csr_offsets =
+      room ~own t.csr_offsets ~keep:(n + 1) ~need:(n' + 1)
+    in
+    for p = n to n' - 1 do
+      csr_offsets.(p + 1) <- csr_offsets.(p) + Path.length paths.(p)
+    done;
+    let csr_edges =
+      room ~own t.csr_edges ~keep:nnz ~need:csr_offsets.(n')
+    in
+    for p = n to n' - 1 do
+      Array.blit (Path.edge_id_array paths.(p)) 0 csr_edges csr_offsets.(p)
+        (Path.length paths.(p))
+    done;
+    let rows, store =
+      if own then (t.rows, t.store)
+      else
+        ( fst
+            (build_rows
+               ~edge_count:(Digraph.edge_count t.graph)
+               ~path_count:n ~csr_offsets ~csr_edges),
+          { tip = Atomic.make n'; top = 0 } )
+    in
+    let rows, fresh, n_fresh =
+      append_rows rows store ~used:t.used_edges ~n ~n' ~csr_offsets
+        ~csr_edges
+    in
     {
       t with
       paths;
@@ -409,9 +545,9 @@ let extend t ~paths =
       local_index_of_path;
       csr_offsets;
       csr_edges;
-      edge_csr_offsets;
-      edge_csr_paths;
-      used_edges;
+      rows;
+      store;
+      used_edges = merge_used t.used_edges fresh n_fresh;
       max_path_length;
       ell_max;
     }
@@ -462,8 +598,26 @@ let local_index_of_path t p =
 
 let csr_offsets t = t.csr_offsets
 let csr_edges t = t.csr_edges
-let edge_csr_offsets t = t.edge_csr_offsets
-let edge_csr_paths t = t.edge_csr_paths
+let edge_rows t = t.rows
+
+let edge_paths t e =
+  if e < 0 || e >= Digraph.edge_count t.graph then
+    invalid_arg "Instance.edge_paths: edge out of range";
+  let n = Array.length t.paths and { starts; root; links; heads; more } = t.rows in
+  let acc =
+    ref (List.rev (Array.to_list (Array.sub root starts.(e) (starts.(e + 1) - starts.(e)))))
+  in
+  let h = -links.(e) - 1 in
+  if h >= 0 && h < Array.length heads then begin
+    let k = ref heads.(h) in
+    while more.(!k) < n do
+      acc := more.(!k) :: !acc;
+      incr k
+    done
+  end;
+  Array.of_list (List.rev !acc)
+
+let shares_store a b = a.store == b.store
 let used_edges t = t.used_edges
 
 let demand t i = (commodity t i).Commodity.demand

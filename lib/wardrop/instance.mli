@@ -53,23 +53,38 @@ val extend : t -> paths:(int * Path.t) list -> t
 (** [extend t ~paths] is [t] with the given [(commodity, path)] columns
     appended — the column-generation growth step.  New paths are
     appended at the {e end} of the global index in list order, so every
-    existing global path index is stable: flows and boards over [t]
-    embed into the grown instance by zero-extension
-    ({!Staleroute_util.Vec.extend}), and the CSR incidence grows by
-    appending rows.  Ungrown commodities share their
-    [paths_of_commodity] arrays with [t] (boards and instances are
-    immutable, so growth copies only what it touches).  The structural
+    existing global path index is stable: flows and boards embed into
+    the grown instance by zero-extension ({!Staleroute_util.Vec.extend}),
+    and both incidences grow by appending.  Ungrown commodities share
+    their [paths_of_commodity] arrays with [t].  The structural
     constants [max_path_length] and [ell_max] are updated; [beta] only
-    depends on the latencies and is unchanged.  The edge→path transpose
-    and the {!used_edges} index are not rebuilt: the new columns'
-    incidences, sorted by (edge, path), are merged into [t]'s arrays,
-    which gives exactly the arrays a from-scratch {!of_paths} build
-    over the same path set would.  Its cost is one integer pass over
-    the edge offsets plus block copies of the incidences, not a
-    counting sort over all of them.  Raises
-    [Invalid_argument] on a commodity index out of range, a path that
-    does not connect its commodity, or a duplicate (already active or
-    repeated in [paths]).  [extend t ~paths:[]] is [t] itself. *)
+    depends on the latencies and is unchanged.  Every accessor of the
+    result reads exactly what a from-scratch {!of_paths} build over the
+    same path set would give (up to spare capacity in the raw CSR
+    arrays).
+
+    Sharing and cost.  The path→edge CSR and the edge→path transpose
+    live in a store shared along a growth chain, with spare capacity;
+    an instance with [n] paths reads only its own entries.  Extending
+    the chain's newest instance claims the store by an atomic
+    compare-and-set and appends in place: amortized
+    O(new incidences · log + used edges + paths) work, with no
+    allocation proportional to the edge count.  Extending any other
+    instance — a replay from a seed that has already grown, a second
+    extension of one parent, or the loser of two concurrent extensions
+    of one parent — copies its view into a new store first, an
+    O(edges + incidences) step ({!shares_store} tells the two apart).
+    Either way [t] and every other instance keep reading their own
+    bits, so instances stay immutable values that any domain may read
+    or extend at any time.
+
+    Raises [Invalid_argument] on a commodity index out of range, a path
+    that does not connect its commodity, or a duplicate (already active
+    or repeated in [paths]).  [extend t ~paths:[]] is [t] itself. *)
+
+val shares_store : t -> t -> bool
+(** Whether two instances read one incidence store: true along a chain
+    of in-place {!extend}s, false across a copy. *)
 
 (** {1 Structure} *)
 
@@ -107,36 +122,52 @@ val local_index_of_path : t -> int -> int
 val csr_offsets : t -> int array
 (** CSR path→edge incidence, offsets: the edges of path [p] occupy
     [csr_edges.(csr_offsets.(p)) .. csr_edges.(csr_offsets.(p+1) - 1)].
-    Length [path_count + 1]; shared array — do not mutate. *)
+    Only the first [path_count + 1] entries are this instance's; a grown
+    instance's array may be longer (spare capacity shared with newer
+    instances of its chain).  Shared array — do not mutate. *)
 
 val csr_edges : t -> int array
-(** CSR path→edge incidence, concatenated edge ids (shared array — do
-    not mutate). *)
+(** CSR path→edge incidence, concatenated edge ids: the first
+    [csr_offsets.(path_count)] entries are this instance's (spare
+    capacity follows on a grown instance).  Shared array — do not
+    mutate. *)
 
-val edge_csr_offsets : t -> int array
-(** Transposed (edge→path) CSR incidence, offsets: the paths traversing
-    edge [e] occupy
-    [edge_csr_paths.(edge_csr_offsets.(e)) ..
-     edge_csr_paths.(edge_csr_offsets.(e+1) - 1)].  Length
-    [edge_count + 1]; shared array — do not mutate. *)
+type edge_rows = private {
+  starts : int array;
+  root : int array;
+  links : int array;
+  heads : int array;
+  more : int array;
+}
+(** The transposed (edge→path) incidence.  Row [e] lists the global
+    indices of the paths traversing edge [e] in {e ascending} order, the
+    order in which [Flow.edge_flows_into], the one load gather, sums it.
+    An instance with [n] paths reads row [e] in two parts:
+    - [root.(starts.(e)) .. root.(starts.(e+1) - 1)], all below [n];
+    - when [links.(e) = -h - 1] with [0 <= h < Array.length heads]: the
+      cells of [more] from [heads.(h)] up to, not including, the first
+      cell [>= n].
+    Shared arrays that newer instances of the chain write to, only past
+    what this instance reads — do not mutate, do not read past a row's
+    end. *)
 
-val edge_csr_paths : t -> int array
-(** Transposed CSR incidence, concatenated global path indices.  Each
-    edge's row is sorted in {e ascending} path order, the order in
-    which [Flow.edge_flows_into], the one load gather, sums it.
-    {!extend} preserves every old row as a prefix (new paths carry the
-    largest indices).  Shared array — do not mutate. *)
+val edge_rows : t -> edge_rows
+
+val edge_paths : t -> int -> int array
+(** Row [e] of the transpose as a fresh array: the paths traversing
+    edge [e], ascending.  Allocates; for tests and cold paths. *)
 
 val used_edges : t -> int array
 (** The used-edge index: the ids of the edges some active path uses —
-    the edges with a non-empty {!edge_csr_offsets} row — in ascending
-    order.  Only these edges can carry load, so per-phase sums over
-    edge flows (Φ, the virtual gain, the phase ledger's gather) loop
-    over this index, not over all edges: an unused edge sits at load 0,
-    where every latency's integral is ±0 and its virtual-gain term is
-    ±0, so skipping it cannot change a sum that starts at [+0.].  Built
-    in the transpose's counting pass; {!extend} merges the newly used
-    edges in.  Shared array — do not mutate. *)
+    the edges with a non-empty transpose row — in ascending order.  Only
+    these edges can carry load, so per-phase sums over edge flows (Φ,
+    the virtual gain, the phase ledger's gather) loop over this index,
+    not over all edges: an unused edge sits at load 0, where every
+    latency's integral is ±0 and its virtual-gain term is ±0, so
+    skipping it cannot change a sum that starts at [+0.].  Built in the
+    transpose's counting pass; {!extend} merges the newly used edges in,
+    an O(used edges) step only when some edge is new.  Shared array —
+    do not mutate. *)
 
 val demand : t -> int -> float
 (** Demand of a commodity. *)

@@ -15,9 +15,14 @@ type t = {
      function of exactly those two, so re-pricing the same instance
      under bit-identical latencies can only return the same empty
      admission list — skipping the pricing sweep is bitwise-inert.
-     Holds its own copy of the latency array (callers reuse buffers);
-     cleared whenever growth is admitted. *)
-  mutable no_growth : (Instance.t * float array) option;
+     The latencies are copied into the pool's own buffer (callers reuse
+     theirs); cleared whenever growth is admitted. *)
+  mutable no_growth : Instance.t option;
+  mutable memo_latencies : float array;
+  (* Work counters of [grow] and [replay], see [memo_hits]. *)
+  mutable memo_hits : int;
+  mutable dijkstra_fallbacks : int;
+  mutable store_forks : int;
 }
 
 type growth = {
@@ -62,10 +67,17 @@ let create ?(tolerance = 1e-9) ?(seed = Shortest) ?max_paths_per_commodity
     tolerance;
     seed_instance;
     no_growth = None;
+    memo_latencies = [||];
+    memo_hits = 0;
+    dijkstra_fallbacks = 0;
+    store_forks = 0;
   }
 
 let instance t = t.seed_instance
 let tolerance t = t.tolerance
+let memo_hits t = t.memo_hits
+let dijkstra_fallbacks t = t.dijkstra_fallbacks
+let store_forks t = t.store_forks
 
 let check_edge_latencies t edge_latencies =
   if Array.length edge_latencies <> Digraph.edge_count t.graph then
@@ -77,14 +89,22 @@ let check_edge_latencies t edge_latencies =
    [-j], and growth replays bit-for-bit on checkpoint resume.  On a DAG
    the best response is one topological pass, Dijkstra's path and bits
    by construction ([Shortest_path]). *)
-let price t inst ~edge_latencies =
+(* [Shortest_path.find], counting its falls back to Dijkstra. *)
+let best_response t ~weights ~src ~dst ~fallbacks =
+  match Shortest_path.dag_path t.graph ~weights ~src ~dst with
+  | Decided found -> found
+  | Cyclic | Tied ->
+      incr fallbacks;
+      Dijkstra.shortest_path t.graph ~weights ~src ~dst
+
+let price_counting t inst ~edge_latencies ~fallbacks =
   check_edge_latencies t edge_latencies;
   let out = ref [] in
   for ci = Array.length t.commodities - 1 downto 0 do
     let c = t.commodities.(ci) in
     match
-      Shortest_path.find t.graph ~weights:edge_latencies
-        ~src:c.Commodity.src ~dst:c.Commodity.dst
+      best_response t ~weights:edge_latencies ~src:c.Commodity.src
+        ~dst:c.Commodity.dst ~fallbacks
     with
     | None -> ()
     | Some (path, cost) ->
@@ -112,6 +132,9 @@ let price t inst ~edge_latencies =
   done;
   !out
 
+let price t inst ~edge_latencies =
+  price_counting t inst ~edge_latencies ~fallbacks:(ref 0)
+
 let same_bits a b =
   Array.length a = Array.length b
   &&
@@ -125,29 +148,45 @@ let same_bits a b =
   done;
   !ok
 
+let extend_counted t inst ~paths =
+  let inst' = Instance.extend inst ~paths in
+  if not (Instance.shares_store inst inst') then
+    t.store_forks <- t.store_forks + 1;
+  inst'
+
 let grow t inst ~edge_latencies =
   check_edge_latencies t edge_latencies;
   let memo_hit =
     match t.no_growth with
-    | Some (mi, ml) -> mi == inst && same_bits ml edge_latencies
+    | Some mi -> mi == inst && same_bits t.memo_latencies edge_latencies
     | None -> false
   in
-  if memo_hit then None
+  if memo_hit then begin
+    t.memo_hits <- t.memo_hits + 1;
+    None
+  end
   else
-    match price t inst ~edge_latencies with
+    let fallbacks = ref 0 in
+    let adds = price_counting t inst ~edge_latencies ~fallbacks in
+    t.dijkstra_fallbacks <- t.dijkstra_fallbacks + !fallbacks;
+    match adds with
     | [] ->
-        t.no_growth <- Some (inst, Array.copy edge_latencies);
+        let m = Array.length edge_latencies in
+        if Array.length t.memo_latencies <> m then
+          t.memo_latencies <- Array.make m 0.;
+        Array.blit edge_latencies 0 t.memo_latencies 0 m;
+        t.no_growth <- Some inst;
         None
     | adds ->
         t.no_growth <- None;
         let inst' =
-          Instance.extend inst
+          extend_counted t inst
             ~paths:(List.map (fun g -> (g.commodity, g.path)) adds)
         in
         Some (inst', adds)
 
 let replay t ~grown =
-  Instance.extend t.seed_instance
+  extend_counted t t.seed_instance
     ~paths:
       (List.map
          (fun (ci, edges) ->

@@ -104,9 +104,15 @@ val grow :
     instance again under bit-identical posted latencies skips the
     pricing sweep outright (the recomputation could only return the
     same empty list — a pure-function cache, invisible in results, so
-    determinism, resume and pooled byte-identity are unaffected).  This
-    makes the pool value mutable scratch: do not share one pool across
-    domains. *)
+    determinism, resume and pooled byte-identity are unaffected).  The
+    memo copies the latencies into one buffer the pool owns, so a miss
+    allocates nothing after the first.  This makes the pool value
+    mutable scratch: do not share one pool across domains.
+
+    Cost per call: the pricing sweep (per commodity one O(V + E)
+    topological pass with reused node arrays, see
+    {!Staleroute_graph.Shortest_path}), then {!Instance.extend}, which
+    appends in place when [inst] is its chain's newest instance. *)
 
 val replay : t -> grown:(int * int array) list -> Instance.t
 (** Reconstruct the grown instance from recorded growth:
@@ -115,6 +121,18 @@ val replay : t -> grown:(int * int array) list -> Instance.t
     path.  Raises [Invalid_argument] when the recorded paths do not
     validate against the pool's graph and commodities (a hand-edited
     path set must be refused, not resumed). *)
+
+val memo_hits : t -> int
+(** How many {!grow} calls the negative-pricing memo answered. *)
+
+val dijkstra_fallbacks : t -> int
+(** How many pricings inside {!grow} fell back from the topological
+    pass to Dijkstra (a cyclic graph or an exact tie). *)
+
+val store_forks : t -> int
+(** How many {!grow} and {!replay} calls extended an instance that was
+    not its chain's newest and so copied its incidence store
+    ({!Instance.shares_store}). *)
 
 val unsatisfied_volume : t -> Instance.t -> Flow.t -> delta:float -> float
 (** The colgen analogue of {!Equilibrium.unsatisfied_volume}, judged

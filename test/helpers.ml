@@ -99,6 +99,11 @@ let reference_edge_flows inst f =
   done;
   fe
 
+(* A board's edge latencies, copied: boards reposted from one another
+   share one array, which reading another board of the chain rewrites. *)
+let posted_edges b =
+  Array.copy (Staleroute_dynamics.Bulletin_board.edge_latencies b)
+
 (* [(edge_latencies, path_latencies)] of the reference board. *)
 let reference_board ?edge_latencies inst f =
   let open Staleroute_wardrop in

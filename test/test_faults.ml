@@ -103,9 +103,9 @@ let test_board_partial_mixes_ages () =
     Faults.board plan ~index:0 fault inst ~time:1. ~prev:(Some prev) f1
   in
   let fresh = Bulletin_board.post inst ~time:1. f1 in
-  let stale = prev.Bulletin_board.edge_latencies in
-  let new_ = fresh.Bulletin_board.edge_latencies in
-  let got = board.Bulletin_board.edge_latencies in
+  let stale = posted_edges prev in
+  let new_ = posted_edges fresh in
+  let got = posted_edges board in
   Array.iteri
     (fun e v ->
       check_true "each edge latency is either the stale or the fresh one"
@@ -129,9 +129,9 @@ let test_board_noise_perturbs () =
     Faults.board plan ~index:0 fault inst ~time:1. ~prev:(Some prev) f1
   in
   let clean =
-    (Bulletin_board.post inst ~time:1. f1).Bulletin_board.edge_latencies
+    posted_edges (Bulletin_board.post inst ~time:1. f1)
   in
-  let noisy = board.Bulletin_board.edge_latencies in
+  let noisy = posted_edges board in
   let perturbed = ref false in
   Array.iteri
     (fun e v ->
@@ -151,8 +151,8 @@ let test_board_deterministic () =
   let plan = Faults.plan (mixed_spec ()) in
   let latencies index =
     let fault = Faults.fault_at plan ~index in
-    (Faults.board plan ~index fault inst ~time:1. ~prev:(Some prev) f1)
-      .Bulletin_board.edge_latencies
+    posted_edges
+      (Faults.board plan ~index fault inst ~time:1. ~prev:(Some prev) f1)
   in
   Alcotest.(check (array (float 0.)))
     "faulted board is a pure function of (seed, index)" (latencies 7)
@@ -349,7 +349,8 @@ let test_dead_helpers () =
     (fun e v -> if not down.(e) then check_close "alive edges unchanged"
         clean.(e) v)
     posted;
-  let pricing = Faults.alive_latencies ~down clean in
+  let pricing = Array.make (Array.length clean) nan in
+  Faults.alive_latencies_into ~down clean pricing;
   check_true "pricing weight of a dead edge is infinite"
     (pricing.(edges0.(0)) = Float.infinity);
   Array.iteri

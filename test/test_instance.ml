@@ -341,32 +341,27 @@ let prop_extend_chain_matches_of_paths =
           (fun q -> row c_off c_edges q = row r_off r_edges (relabel q))
           (List.init n Fun.id)
       in
-      let t_off = Instance.edge_csr_offsets chained
-      and t_paths = Instance.edge_csr_paths chained in
-      let rt_off = Instance.edge_csr_offsets reference
-      and rt_paths = Instance.edge_csr_paths reference in
       (* From scratch in the chain's own index: edge rows list the
-         paths through the edge in ascending index, with the padding
-         cell an empty incidence gets. *)
+         paths through the edge in ascending index. *)
       let naive_rows =
         Array.init ec (fun e ->
-            List.concat_map
-              (fun q ->
-                List.filter_map
-                  (fun e' -> if e' = e then Some q else None)
-                  (Array.to_list (row c_off c_edges q)))
-              (List.init n Fun.id))
+            Array.of_list
+              (List.concat_map
+                 (fun q ->
+                   List.filter_map
+                     (fun e' -> if e' = e then Some q else None)
+                     (Array.to_list (row c_off c_edges q)))
+                 (List.init n Fun.id)))
       in
-      let naive_paths = Array.of_list (List.concat (Array.to_list naive_rows)) in
-      let naive_paths = if naive_paths = [||] then [| 0 |] else naive_paths in
+      let t_rows = Array.init ec (Instance.edge_paths chained) in
+      let rt_rows = Array.init ec (Instance.edge_paths reference) in
       let transpose_agrees =
-        t_off = rt_off
-        && t_paths = naive_paths
+        t_rows = naive_rows
         && List.for_all
              (fun e ->
-               let mapped = Array.map relabel (row t_off t_paths e) in
+               let mapped = Array.map relabel t_rows.(e) in
                Array.sort compare mapped;
-               mapped = row rt_off rt_paths e)
+               mapped = rt_rows.(e))
              (List.init ec Fun.id)
       in
       let used = Instance.used_edges chained in
@@ -374,19 +369,125 @@ let prop_extend_chain_matches_of_paths =
         used = Instance.used_edges reference
         && used
            = Array.of_list
-               (List.filter (fun e -> t_off.(e) < t_off.(e + 1))
-                  (List.init ec Fun.id))
+               (List.filter (fun e -> t_rows.(e) <> [||]) (List.init ec Fun.id))
       in
-      (* One commodity: the two indices coincide, so every array is
-         equal outright. *)
+      (* One commodity: the two indices coincide, so every row is equal
+         outright. *)
+      let prefix a k = Array.sub a 0 k in
       let single_exact =
         nc > 1
-        || (c_off = r_off && c_edges = r_edges && t_paths = rt_paths)
+        || prefix c_off (n + 1) = r_off
+           && prefix c_edges c_off.(n) = prefix r_edges r_off.(n)
+           && t_rows = rt_rows
       in
-      csr_rows_agree && Array.length c_edges = Array.length r_edges
+      csr_rows_agree && c_off.(n) = r_off.(n)
       && transpose_agrees && used_agrees && single_exact
       && Instance.max_path_length chained = Instance.max_path_length reference
       && same_bits (Instance.ell_max chained) (Instance.ell_max reference))
+
+(* --- shared incidence stores: every instance reads its own bits --- *)
+
+(* A single-commodity DAG with more than 60 source–sink paths, and those
+   paths in enumeration order. *)
+let dag_with_paths () =
+  let r = Rng.create ~seed:11 () in
+  let st = Gen.layered_skips ~skip_prob:0.2 ~rng:r ~layers:5 ~width:4 ~edge_prob:0.7 in
+  let paths =
+    Array.of_list
+      (Path_enum.all_simple_paths ~max_paths:5000 st.Gen.graph ~src:st.Gen.src
+         ~dst:st.Gen.dst)
+  in
+  check_true "enough paths" (Array.length paths > 60);
+  let latencies =
+    Array.init (Digraph.edge_count st.Gen.graph) (fun e ->
+        L.affine ~slope:(1. +. float_of_int (e mod 3)) ~intercept:0.25)
+  in
+  let seed =
+    Instance.of_paths ~graph:st.Gen.graph ~latencies
+      ~commodities:[ Commodity.single ~src:st.Gen.src ~dst:st.Gen.dst ]
+      ~paths:[| [ paths.(0) ] |] ()
+  in
+  (seed, paths)
+
+(* Every incidence accessor of a single-commodity instance against a
+   from-scratch build of its own path set, bit for bit. *)
+let same_as_scratch inst =
+  let n = Instance.path_count inst in
+  let reference =
+    Instance.of_paths ~graph:(Instance.graph inst)
+      ~latencies:(Instance.latencies inst)
+      ~commodities:[ Instance.commodity inst 0 ]
+      ~paths:[| List.init n (Instance.path inst) |]
+      ()
+  in
+  let csr i = row (Instance.csr_offsets i) (Instance.csr_edges i) in
+  let ec = Digraph.edge_count (Instance.graph inst) in
+  List.for_all (fun p -> csr inst p = csr reference p) (List.init n Fun.id)
+  && List.for_all
+       (fun e -> Instance.edge_paths inst e = Instance.edge_paths reference e)
+       (List.init ec Fun.id)
+  && Instance.used_edges inst = Instance.used_edges reference
+  && Instance.max_path_length inst = Instance.max_path_length reference
+  && same_bits (Instance.ell_max inst) (Instance.ell_max reference)
+
+let grow_from inst paths ~from ~upto =
+  let chain = ref [ inst ] in
+  for k = from to upto - 1 do
+    chain := Instance.extend (List.hd !chain) ~paths:[ (0, paths.(k)) ] :: !chain
+  done;
+  !chain
+
+let test_extend_one_parent_twice () =
+  let seed, paths = dag_with_paths () in
+  let parent = List.hd (grow_from seed paths ~from:1 ~upto:20) in
+  let a = Instance.extend parent ~paths:[ (0, paths.(20)) ] in
+  let b = Instance.extend parent ~paths:[ (0, paths.(21)); (0, paths.(22)) ] in
+  let a' = Instance.extend a ~paths:[ (0, paths.(23)) ] in
+  let b' = Instance.extend b ~paths:[ (0, paths.(24)) ] in
+  check_true "the first extension appends in place" (Instance.shares_store parent a);
+  check_false "the second one copies" (Instance.shares_store parent b);
+  check_true "the copy is a chain of its own" (Instance.shares_store b b');
+  check_true "both lines keep growing in place" (Instance.shares_store a a');
+  List.iter
+    (fun (name, i) -> check_true (name ^ " = from-scratch build") (same_as_scratch i))
+    [ ("parent", parent); ("first", a); ("second", b); ("first, grown", a');
+      ("second, grown", b') ]
+
+let test_replay_from_grown_seed () =
+  let seed, paths = dag_with_paths () in
+  let chain = grow_from seed paths ~from:1 ~upto:40 in
+  check_true "the run grew in place"
+    (List.for_all (Instance.shares_store seed) chain);
+  let replay =
+    Instance.extend seed
+      ~paths:(List.init 39 (fun k -> (0, paths.(k + 1))))
+  in
+  check_false "a replay from the grown seed copies" (Instance.shares_store seed replay);
+  check_true "the replay = from-scratch build" (same_as_scratch replay);
+  check_true "so does every instance of the run, the seed included"
+    (List.for_all same_as_scratch chain)
+
+let test_concurrent_extensions () =
+  let seed, paths = dag_with_paths () in
+  Staleroute_util.Pool.with_pool ~domains:2 (fun pool ->
+      for round = 0 to 29 do
+        (* A new chain each round: its newest instance is the parent. *)
+        let parent = List.hd (grow_from seed paths ~from:1 ~upto:(2 + (round mod 9))) in
+        let extend k =
+          Instance.extend parent ~paths:[ (0, paths.(40 + (round mod 10) + k)) ]
+        in
+        let grown = Staleroute_util.Pool.parallel_map ~pool extend [| 0; 10 |] in
+        let in_place =
+          Array.fold_left
+            (fun n i -> if Instance.shares_store parent i then n + 1 else n)
+            0 grown
+        in
+        check_int "exactly one extension appends in place" 1 in_place;
+        Array.iter
+          (fun i -> check_true "each = from-scratch build" (same_as_scratch i))
+          grown;
+        check_true "the parent still reads its own bits" (same_as_scratch parent)
+      done)
 
 let suite =
   [
@@ -406,4 +507,7 @@ let suite =
     case "csr incidence" test_csr_incidence_matches_path_edges;
     case "needle constants" test_needle_constants;
     prop_extend_chain_matches_of_paths;
+    case "extend one parent twice" test_extend_one_parent_twice;
+    case "replay from a grown seed" test_replay_from_grown_seed;
+    case "extend from two domains at once" test_concurrent_extensions;
   ]

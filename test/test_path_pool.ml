@@ -249,7 +249,19 @@ let test_cyclic_grid_prices_with_dijkstra () =
   check_true "some postings admit a column" (!admitted > 0);
   check_raises_invalid "negative posted latency" (fun () ->
       Path_pool.price pool inst
-        ~edge_latencies:(Array.init m (fun e -> if e = 3 then -1. else 1.)))
+        ~edge_latencies:(Array.init m (fun e -> if e = 3 then -1. else 1.)));
+  (* [grow] counts the pricings that fell back to Dijkstra, and the
+     calls its negative-pricing memo answered. *)
+  check_int "[price] counts nothing" 0 (Path_pool.dijkstra_fallbacks pool);
+  let lat = Array.init m (fun e -> if e mod 2 = 0 then 1. else 2.) in
+  let outcome = Path_pool.grow pool inst ~edge_latencies:lat in
+  check_int "a cyclic graph prices by Dijkstra" 1
+    (Path_pool.dijkstra_fallbacks pool);
+  if outcome = None then begin
+    ignore (Path_pool.grow pool inst ~edge_latencies:(Array.copy lat));
+    check_int "the repeat is a memo hit" 1 (Path_pool.memo_hits pool);
+    check_int "and prices nothing" 1 (Path_pool.dijkstra_fallbacks pool)
+  end
 
 let test_huge_tolerance_inert () =
   let w = workload 7 in
@@ -463,6 +475,46 @@ let test_large_dag_growth () =
        result.Driver.final_flow ~delta:0.5
     <= 1e-3)
 
+(* The fast-path fallback counters are metrics of colgen runs only.  A
+   second run over the same pool starts from a seed the first one grew,
+   so its first growth copies the incidence store, once. *)
+let test_fallback_counters () =
+  let module Metrics = Staleroute_obs.Metrics in
+  let layers = 4 in
+  let w = workload ~layers ~width:3 11 in
+  let pool = pool_of w in
+  let policy = colgen_policy ~layers w in
+  let seed_inst = Path_pool.instance pool in
+  let run colgen =
+    let metrics = Metrics.create () in
+    ignore
+      (Driver.run ~metrics ?colgen seed_inst
+         (config ~policy ~t:(safe_period ~layers policy seed_inst) ~phases:60 ())
+         ~init:(Flow.concentrated seed_inst ~on:(fun _ -> 0)));
+    let snap = Metrics.snapshot metrics in
+    fun name ->
+      match List.assoc_opt name snap with
+      | Some (Metrics.Counter_v n) -> Some n
+      | _ -> None
+  in
+  let first = run (Some pool) in
+  let second = run (Some pool) in
+  let plain = run None in
+  check_true "the first run grows" (Option.get (first "paths_grown") > 0);
+  check_true "the second grows alike" (first "paths_grown" = second "paths_grown");
+  check_true "the first run grows in place" (first "colgen_store_forks" = Some 0);
+  check_true "the second copies once" (second "colgen_store_forks" = Some 1);
+  check_true "a DAG never falls back to Dijkstra"
+    (first "colgen_dijkstra_fallbacks" = Some 0);
+  check_int "memo hits are the pool's"
+    (Path_pool.memo_hits pool)
+    (Option.get (first "colgen_memo_hits") + Option.get (second "colgen_memo_hits"));
+  check_true "a colgen-free run registers none of them"
+    (List.for_all
+       (fun name -> plain name = None)
+       [ "paths_grown"; "colgen_memo_hits"; "colgen_dijkstra_fallbacks";
+         "colgen_store_forks" ])
+
 (* --- Full seed: colgen must be bitwise inert --- *)
 
 let flows_bitwise_equal a b =
@@ -583,6 +635,7 @@ let suite =
       (differential_case
          ~pin:(11, 17, 0.0016792923232535604)
          ~phases:400 ~steps:12 5);
+    case "fallback counters are colgen metrics" test_fallback_counters;
     case "full seed: driver bitwise inert" test_full_seed_driver_bitwise;
     case "full seed: discrete bitwise inert" test_full_seed_discrete_bitwise;
     slow_case "driver growth is pure and reflected in the result"

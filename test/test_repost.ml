@@ -33,8 +33,8 @@ let board_fields_equal (a : Bulletin_board.t) (b : Bulletin_board.t) =
        (Vec.to_array b.Bulletin_board.flow)
   && arr_bits_equal a.Bulletin_board.path_latencies
        b.Bulletin_board.path_latencies
-  && arr_bits_equal a.Bulletin_board.edge_latencies
-       b.Bulletin_board.edge_latencies
+  && arr_bits_equal (posted_edges a)
+       (posted_edges b)
   && a.Bulletin_board.clean = b.Bulletin_board.clean
 
 (* Every field of [b] against the independent reference board of
@@ -44,7 +44,7 @@ let matches_reference ?edge_latencies inst (b : Bulletin_board.t) ~time flow =
   let el, pl = reference_board ?edge_latencies inst flow in
   bits b.Bulletin_board.posted_at = bits time
   && arr_bits_equal (Vec.to_array b.Bulletin_board.flow) (Vec.to_array flow)
-  && arr_bits_equal b.Bulletin_board.edge_latencies el
+  && arr_bits_equal (posted_edges b) el
   && arr_bits_equal b.Bulletin_board.path_latencies pl
   && b.Bulletin_board.clean = Option.is_none edge_latencies
 
@@ -202,7 +202,7 @@ let prop_faulted_repost_matches_fresh =
             in
             let edge_latencies =
               if board.Bulletin_board.clean then None
-              else Some board.Bulletin_board.edge_latencies
+              else Some (posted_edges board)
             in
             if not (matches_reference ?edge_latencies inst board ~time flow)
             then ok := false;
@@ -263,7 +263,7 @@ let prop_repost_grown_matches_post =
           let grown = Bulletin_board.repost_grown inst' ~prev:board in
           let extended = Vec.extend board.Bulletin_board.flow ~dim:n' in
           let _, reference =
-            reference_board ~edge_latencies:board.Bulletin_board.edge_latencies
+            reference_board ~edge_latencies:(posted_edges board)
               inst' extended
           in
           (* A grown clean board stays clean (nothing about the
@@ -275,8 +275,7 @@ let prop_repost_grown_matches_post =
                (Vec.to_array grown.Bulletin_board.flow)
                (Vec.to_array extended)
           && arr_bits_equal grown.Bulletin_board.path_latencies reference
-          && grown.Bulletin_board.edge_latencies
-             == board.Bulletin_board.edge_latencies
+          && arr_bits_equal (posted_edges grown) (posted_edges board)
           && grown.Bulletin_board.clean = board.Bulletin_board.clean
           &&
           (* and the chain stays exact after growth *)
@@ -296,11 +295,11 @@ let test_transpose_consistency () =
     (fun inst ->
       let off = Instance.csr_offsets inst in
       let edges = Instance.csr_edges inst in
-      let toff = Instance.edge_csr_offsets inst in
-      let tpaths = Instance.edge_csr_paths inst in
       let n = Instance.path_count inst in
-      let ec = Array.length toff - 1 in
-      check_int "transpose nnz" off.(n) toff.(ec);
+      let ec = Staleroute_graph.Digraph.edge_count (Instance.graph inst) in
+      let rows = Array.init ec (Instance.edge_paths inst) in
+      check_int "transpose nnz" off.(n)
+        (Array.fold_left (fun acc r -> acc + Array.length r) 0 rows);
       (* forward membership = transpose membership *)
       let member = Hashtbl.create 64 in
       for p = 0 to n - 1 do
@@ -310,8 +309,8 @@ let test_transpose_consistency () =
       done;
       for e = 0 to ec - 1 do
         let prev = ref (-1) in
-        for k = toff.(e) to toff.(e + 1) - 1 do
-          let p = tpaths.(k) in
+        for k = 0 to Array.length rows.(e) - 1 do
+          let p = rows.(e).(k) in
           check_true "transpose row ascending" (p > !prev);
           prev := p;
           check_true "transpose pair exists forward"
@@ -328,14 +327,14 @@ let test_restore_cleanliness () =
   let posted = Bulletin_board.post inst ~time:1.5 f in
   let restored =
     Bulletin_board.restore inst ~time:1.5 ~flow:f
-      ~edge_latencies:posted.Bulletin_board.edge_latencies
+      ~edge_latencies:(posted_edges posted)
   in
   check_true "restored induced latencies are clean"
     restored.Bulletin_board.clean;
   check_true "restore = original board fields"
     (board_fields_equal posted restored);
   let perturbed =
-    Array.map (fun l -> l *. 1.01) posted.Bulletin_board.edge_latencies
+    Array.map (fun l -> l *. 1.01) (posted_edges posted)
   in
   let unclean =
     Bulletin_board.restore inst ~time:1.5 ~flow:f ~edge_latencies:perturbed
@@ -363,7 +362,7 @@ let test_unclean_prev_recomputes_in_full () =
   check_true "repost from unclean prev = reference board"
     (matches_reference inst board ~time:1. g);
   check_int "unclean prev dirties every edge"
-    (Array.length board.Bulletin_board.edge_latencies)
+    (Array.length (posted_edges board))
     (Bulletin_board.dirty_edges delta);
   check_int "unclean prev dirties every path" (Instance.path_count inst)
     (Bulletin_board.dirty_paths delta)
@@ -464,6 +463,125 @@ let test_repost_validation () =
       ignore
         (Bulletin_board.post ~edge_latencies:[| 1.; 2. |] inst ~time:1. f))
 
+(* Older boards of one family after later reposts: every board still
+   reads its own latencies, in any reading order.  A 300-link instance
+   takes the undo-record path (few dirty edges of many), a 5-link one
+   the copy path. *)
+let test_older_boards_read_their_own_bits () =
+  List.iter
+    (fun m ->
+      let inst = Common.parallel m in
+      let r = rng ~seed:m () in
+      let flows = Array.make 4 (Flow.uniform inst) in
+      for i = 1 to 3 do
+        flows.(i) <- transfer inst r flows.(i - 1)
+      done;
+      let delta = Bulletin_board.delta () in
+      let boards = Array.make 4 (Bulletin_board.post inst ~time:0. flows.(0)) in
+      for i = 1 to 3 do
+        boards.(i) <-
+          Bulletin_board.repost ~delta inst ~prev:boards.(i - 1)
+            ~time:(float_of_int i) flows.(i)
+      done;
+      List.iter
+        (fun i ->
+          check_true
+            (Printf.sprintf "%d links: board %d = its reference" m i)
+            (matches_reference inst boards.(i) ~time:(float_of_int i) flows.(i)))
+        [ 0; 3; 1; 2; 0; 3 ];
+      (* A repost from an older board forks the family, and both lines
+         keep their bits. *)
+      let g = transfer inst r flows.(1) in
+      let fork = Bulletin_board.repost ~delta inst ~prev:boards.(1) ~time:9. g in
+      check_true "fork = its reference" (matches_reference inst fork ~time:9. g);
+      check_true "newest of the first line unchanged"
+        (matches_reference inst boards.(3) ~time:3. flows.(3));
+      check_true "fork still its reference" (matches_reference inst fork ~time:9. g))
+    [ 300; 5 ]
+
+(* Per-phase edge work follows the used edges, not the graph.  Graphs A
+   and B are one small DAG with every edge repeated 8 and 16 times (the
+   repeats are never used), so both carry the same paths over the same
+   edge ids: a growth after warm-up and a steady-state repost must
+   allocate exactly as many major-heap words on both, although B has
+   twice the edges. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let x = f () in
+  let _, _, after = Gc.counters () in
+  (x, after -. before)
+
+let test_edge_work_flat_in_edge_count () =
+  let module Digraph = Staleroute_graph.Digraph in
+  let module Path = Staleroute_graph.Path in
+  let r = Rng.create ~seed:5 () in
+  let st = Gen.layered_skips ~skip_prob:0.2 ~rng:r ~layers:5 ~width:4 ~edge_prob:0.7 in
+  let base = st.Gen.graph in
+  let pairs =
+    Array.to_list
+      (Array.map (fun e -> (e.Digraph.src, e.Digraph.dst)) (Digraph.edges base))
+  in
+  let repeated k =
+    Digraph.create ~nodes:(Digraph.node_count base)
+      ~edges:(List.concat (List.init k (fun _ -> pairs)))
+  in
+  let a = repeated 8 and b = repeated 16 in
+  let ea = Digraph.edge_count a in
+  check_true "graph A has more edges than a minor-heap block" (ea > 256);
+  let paths =
+    Array.of_list
+      (Staleroute_graph.Path_enum.all_simple_paths ~max_paths:5000 base
+         ~src:st.Gen.src ~dst:st.Gen.dst)
+  in
+  check_true "enough paths" (Array.length paths >= 41);
+  let measure g =
+    let on_g p = Path.of_edges g (Path.edge_ids p) in
+    let latencies =
+      Array.init (Digraph.edge_count g) (fun e ->
+          Latency.affine ~slope:(1. +. float_of_int (e mod 5)) ~intercept:0.1)
+    in
+    let inst =
+      ref
+        (Instance.of_paths ~graph:g ~latencies
+           ~commodities:[ Commodity.single ~src:st.Gen.src ~dst:st.Gen.dst ]
+           ~paths:[| [ on_g paths.(0) ] |] ())
+    in
+    for k = 1 to 39 do
+      inst := Instance.extend !inst ~paths:[ (0, on_g paths.(k)) ]
+    done;
+    let inst, growth =
+      major_words (fun () -> Instance.extend !inst ~paths:[ (0, on_g paths.(40)) ])
+    in
+    let f = Flow.uniform inst in
+    let g1 = Vec.copy f in
+    Vec.set g1 0 (Vec.get g1 0 -. 0.004);
+    Vec.set g1 1 (Vec.get g1 1 +. 0.004);
+    let delta = Bulletin_board.delta () in
+    let board = ref (Bulletin_board.post inst ~time:0. f) in
+    for i = 1 to 4 do
+      board :=
+        Bulletin_board.repost ~delta inst ~prev:!board ~time:0.
+          (if i mod 2 = 0 then f else g1)
+    done;
+    let _, repost =
+      major_words (fun () ->
+          Bulletin_board.repost ~delta inst ~prev:!board ~time:0. g1)
+    in
+    (growth, repost, Bulletin_board.dirty_edges delta)
+  in
+  let growth_a, repost_a, dirty_a = measure a in
+  let growth_b, repost_b, dirty_b = measure b in
+  check_int "same dirty edges" dirty_a dirty_b;
+  check_true
+    (Printf.sprintf "growth: %.0f major words at %d edges, %.0f at %d" growth_a
+       ea growth_b (2 * ea))
+    (growth_a = growth_b && growth_a < float_of_int ea);
+  check_true
+    (Printf.sprintf "repost: %.0f major words at %d edges, %.0f at %d" repost_a
+       ea repost_b (2 * ea))
+    (repost_a = repost_b && repost_a < float_of_int ea)
+
 let suite =
   [
     prop_repost_matches_post;
@@ -479,4 +597,7 @@ let suite =
     case "delta scratch resizes across instances"
       test_delta_resizes_across_instances;
     case "validation" test_repost_validation;
+    case "older boards read their own bits"
+      test_older_boards_read_their_own_bits;
+    case "edge work flat in the edge count" test_edge_work_flat_in_edge_count;
   ]
