@@ -9,11 +9,13 @@ module Latency = Staleroute_latency.Latency
    there, every other one through a chain of undo records leading to it:
    the edges where it differs from the [next] board along the chain, and
    its own values there.  Reading a board first makes it the holder. *)
+type latencies = float array
+
 type t = {
   posted_at : float;
   flow : Flow.t;
   path_latencies : float array;
-  cells : float array;
+  cells : latencies;
   mutable undo : undo;
   revision : int;
   clean : bool;
@@ -21,14 +23,13 @@ type t = {
 
 and undo = Holder | Undo of { idx : int array; vals : float array; next : t }
 
-(* Make [b] the holder: make its successor the holder, then swap [b]'s
-   undo record into the cells, which turns the record into the
+(* Make [b], whose successor along the chain is the holder, the holder:
+   swapping [b]'s undo record into the cells turns it into the
    successor's. *)
-let rec reroot b =
+let swap_in b =
   match b.undo with
   | Holder -> ()
   | Undo { idx; vals; next } ->
-      reroot next;
       let a = b.cells in
       for i = 0 to Array.length idx - 1 do
         let j = idx.(i) in
@@ -39,10 +40,20 @@ let rec reroot b =
       b.undo <- Holder;
       next.undo <- Undo { idx; vals; next = b }
 
+(* The boards from [c] to the holder, excluded, nearest the holder
+   first, onto [acc]. *)
+let rec chain acc c =
+  match c.undo with Holder -> acc | Undo { next; _ } -> chain (c :: acc) next
+
+(* Make [b] the holder: swap the records in from the holder's end back
+   to [b] — a loop, so reading a board many versions back needs no
+   stack. *)
+let reroot b =
+  match b.undo with Holder -> () | Undo _ -> List.iter swap_in (chain [] b)
+
 let edge_latencies b =
   reroot b;
   b.cells
-
 
 (* Process-wide post counter: every snapshot gets a strictly increasing
    revision, so a compiled kernel can prove it was built against the
@@ -75,14 +86,13 @@ let make_owned ~time ~flow ~path_latencies ~cells ~clean =
   }
 
 (* Deriving a board from its holder [prev] writes only the dirty cells
-   and keeps their old values in an undo record — unless a copy costs
-   no more: when the array fits the minor heap (at most
-   [Max_young_wosize] = 256 words), where it dies young with its board,
-   or when it is no larger than the record's two arrays.  A copy also
-   leaves [prev] untouched, whereas the record makes [prev] point at a
-   young board: once [prev] has been promoted, the minor collector
-   then promotes every board derived after it, live or not. *)
-let copy_is_cheaper ~length ~count = length <= 256 || length <= 2 * count
+   and keeps their old values in an undo record — unless the array fits
+   the minor heap (at most [Max_young_wosize] = 256 words), where a copy
+   dies young with its board.  A copy also leaves [prev] untouched,
+   whereas the record makes [prev] point at a young board: once [prev]
+   has been promoted, the minor collector then promotes every board
+   derived after it, live or not. *)
+let copy_is_cheaper ~length = length <= 256
 
 (* [publish]'s "no previous board", so that [repost] hands its board
    over without boxing it in an option. *)
@@ -151,38 +161,13 @@ let check_frame ~who inst ~prev ~edge_latencies flow =
   if prev != none && (Vec.dim prev.flow <> n || Array.length prev.cells <> ec)
   then invalid_arg (who ^ ": previous board is over a different instance")
 
-let[@inline] mark_path d p =
-  if not (Array.unsafe_get d.path_mark p) then begin
-    Array.unsafe_set d.path_mark p true;
-    d.dirty_path.(d.n_dirty_paths) <- p;
-    d.n_dirty_paths <- d.n_dirty_paths + 1
-  end
-
 (* Recompute the latencies of every path incident to a listed dirty
-   edge, via the transposed incidence; everything else keeps its copied
-   (bit-identical) value.  Also fills [d.dirty_path] and clears the path
-   marks on the way out. *)
+   edge; everything else keeps its copied (bit-identical) value.  Also
+   fills [d.dirty_path] and clears the path marks on the way out. *)
 let refresh_dirty_path_latencies d inst ~edge_latencies ~path_latencies =
-  let n = Instance.path_count inst in
-  let { Instance.starts; root; links; heads; more } = Instance.edge_rows inst in
-  let grown = Array.length heads > 0 in
-  d.n_dirty_paths <- 0;
-  for i = 0 to d.n_dirty_edges - 1 do
-    let e = d.dirty_edge.(i) in
-    for k = starts.(e) to starts.(e + 1) - 1 do
-      mark_path d (Array.unsafe_get root k)
-    done;
-    if grown then begin
-      let h = - links.(e) - 1 in
-      if h >= 0 && h < Array.length heads then begin
-        let k = ref (Array.unsafe_get heads h) in
-        while Array.unsafe_get more !k < n do
-          mark_path d (Array.unsafe_get more !k);
-          incr k
-        done
-      end
-    end
-  done;
+  d.n_dirty_paths <-
+    Instance.collect_edge_paths inst ~edges:d.dirty_edge
+      ~count:d.n_dirty_edges ~mark:d.path_mark ~into:d.dirty_path;
   Flow.path_latencies_into inst ~edge_latencies ~paths:d.dirty_path
     ~count:d.n_dirty_paths path_latencies;
   for i = 0 to d.n_dirty_paths - 1 do
@@ -235,6 +220,13 @@ let induce d inst flow dst =
    for [Rate_kernel.update] is extracted into [d]. *)
 let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
   check_frame ~who inst ~prev ~edge_latencies:supplied flow;
+  (* Latencies read off a board of [prev]'s family are the family's
+     cells, which reading [prev] below rewrites: take them by value. *)
+  let supplied =
+    match supplied with
+    | Some el when prev != none && el == prev.cells -> Some (Array.copy el)
+    | _ -> supplied
+  in
   let n = Instance.path_count inst in
   let ec = edge_count inst in
   let d = match d with Some d -> d | None -> delta () in
@@ -273,7 +265,7 @@ let publish ~who ?delta:d ?edge_latencies:supplied inst ~prev ~time flow =
   let count = d.n_dirty_edges in
   (* Over a previous board only the dirty edges are written: into a copy
      of its latencies, or into its family's cells under an undo record. *)
-  let undo = sparse && not (copy_is_cheaper ~length:ec ~count) in
+  let undo = sparse && not (copy_is_cheaper ~length:ec) in
   let cells =
     if undo then edge_latencies prev
     else
@@ -350,7 +342,7 @@ let repost_grown inst ~prev =
     path_latencies.(p) <- Flow.path_latency inst ~edge_latencies p
   done;
   let share =
-    not (copy_is_cheaper ~length:(Array.length edge_latencies) ~count:0)
+    not (copy_is_cheaper ~length:(Array.length edge_latencies))
   in
   let b =
     make_owned ~time:prev.posted_at

@@ -19,12 +19,17 @@
     undo record, and reading an older board replays the records between
     it and the newest first.  So every board still reads its own bits,
     but the boards of one family must be read from one domain at a time
-    — as a run does, since each run reposts its own chain.  Where a copy
-    costs no more (an array of at most 256 edges, or a repost that
-    dirties half of them), a repost copies instead and starts a family
-    of its own. *)
+    — as a run does, since each run reposts its own chain.  Holding an
+    older board keeps every later board of its family alive (the undo
+    chain reaches them), with their flows and path latencies.  On an
+    array of at most 256 edges (a minor-heap block) a repost copies
+    instead and starts a family of its own. *)
 
 open Staleroute_wardrop
+
+type latencies
+(** A family's shared edge-latency cells; read a board's through
+    {!edge_latencies}. *)
 
 type undo
 (** How a board that is not its family's newest reaches its latencies. *)
@@ -33,9 +38,7 @@ type t = private {
   posted_at : float;          (** time [t̂] of the snapshot *)
   flow : Flow.t;              (** [f(t̂)] *)
   path_latencies : float array;  (** [ℓ_P(f(t̂))] by global path index *)
-  cells : float array;
-      (** the edge-latency cells of the board's family — its own
-          [ℓ_e(f(t̂))] only after {!edge_latencies}; read through that *)
+  cells : latencies;  (** read through {!edge_latencies} *)
   mutable undo : undo;
   revision : int;             (** process-wide post ordinal, see {!revision} *)
   clean : bool;
@@ -52,7 +55,9 @@ val edge_latencies : t -> float array
     the family's shared array, after replaying it to this board.  Valid
     until another board of the family is read or reposted from; do not
     mutate.  On the newest board of a family (the live board of a run)
-    this is O(1). *)
+    this is O(1); [k] versions back it replays [k] undo records, in a
+    loop.  Passing the array as {!repost}'s [?edge_latencies] is safe:
+    repost takes it by value before it reads [prev]. *)
 
 val post :
   ?edge_latencies:float array -> Instance.t -> time:float -> Flow.t -> t

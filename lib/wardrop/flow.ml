@@ -139,38 +139,8 @@ let evacuate inst ~dead f =
   done;
   !partitioned
 
-(* The one load gather: each listed edge's transpose row summed from
-   [0.] in ascending path index, skipping zero flows.  The dimension
-   check guards the unchecked reads: a row only yields indices below
-   the path count. *)
-let edge_flows_into inst f ~edges ~count dst =
-  let n = Instance.path_count inst in
-  if Vec.dim f <> n then
-    invalid_arg "Flow.edge_flows_into: flow dimension is not the path count";
-  let { Instance.starts; root; links; heads; more } = Instance.edge_rows inst in
-  let grown = Array.length heads > 0 in
-  for i = 0 to count - 1 do
-    let e = edges.(i) in
-    let acc = ref 0. in
-    for k = starts.(e) to starts.(e + 1) - 1 do
-      let fp = Vec.unsafe_get f (Array.unsafe_get root k) in
-      if fp <> 0. then acc := !acc +. fp
-    done;
-    if grown then begin
-      let h = - links.(e) - 1 in
-      if h >= 0 && h < Array.length heads then begin
-        let k = ref (Array.unsafe_get heads h) in
-        let p = ref (Array.unsafe_get more !k) in
-        while !p < n do
-          let fp = Vec.unsafe_get f !p in
-          if fp <> 0. then acc := !acc +. fp;
-          incr k;
-          p := Array.unsafe_get more !k
-        done
-      end
-    end;
-    dst.(e) <- !acc
-  done
+(* The one load gather: the transpose walk lives with the transpose. *)
+let edge_flows_into = Instance.row_sums_into
 
 let edge_flows inst f =
   let fe = Array.make (Staleroute_graph.Digraph.edge_count (Instance.graph inst)) 0. in

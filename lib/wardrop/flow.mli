@@ -58,8 +58,8 @@ val edge_flows_into :
 (** [edge_flows_into inst f ~edges ~count dst] sets [dst.(e)] to the
     load [f_e = Σ_{P ∋ e} f_P] for the first [count] ids of [edges],
     allocating nothing.  This is the only load gather: [f_e] is summed
-    from [0.] over the edge's {!Instance.edge_csr_paths} row in
-    ascending path index, skipping zero flows, so every caller sees
+    from [0.] over the edge's transpose row ({!Instance.row_sums_into})
+    in ascending path index, skipping zero flows, so every caller sees
     the same bits for the same edge.  Raises [Invalid_argument] if
     [f] is not over the instance's path index. *)
 

@@ -1,5 +1,6 @@
 open Staleroute_graph
 module Latency = Staleroute_latency.Latency
+module Vec = Staleroute_util.Vec
 
 exception
   Path_set_too_large of { commodity : int; cap : int }
@@ -17,13 +18,15 @@ let () =
 
 (* The edge -> path transpose.  Row [e] lists the paths traversing edge
    [e] in ascending index, the order [Flow.edge_flows_into] sums it in.
-   An instance with [n] paths reads it in two parts:
+   Only [row_sums_into] and [collect_edge_paths] below read it.  An
+   instance with [n] paths reads it in two parts:
    - in [root], built once per store (see [store] below): the row's
      paths at build time, cells [starts.(e) .. starts.(e+1) - 1];
    - when [links.(e) = -h - 1] with [h < Array.length heads]: the cells
      of [more] from [heads.(h)] up to the first one [>= n].
-   [links.(e)] is [free] until the row first grows, then names its
-   continuation [h] for good.  A continuation of capacity [c] at [pos]
+   [links] is empty until the store's first growth, which fills it with
+   [free]; [links.(e)] is [free] until the row first grows, then names
+   its continuation [h] for good.  A continuation of capacity [c] at [pos]
    is a block: [more.(pos - 2) = c], [more.(pos - 1)] its path count,
    [c] path cells, then a [free] cell that ends it.
 
@@ -76,38 +79,40 @@ type t = {
 (* The transpose of a path set built from scratch, by counting sort: the
    constructor behind [of_paths] and behind a store fork.  The used-edge
    index (ascending ids of the non-empty rows) is counted in the
-   counting pass and filled in the prefix-sum pass.  Each row is filled
-   backwards, over the paths in descending order, so the rows come out
-   ascending; the row's cursor meanwhile is its link cell. *)
+   counting pass and filled in the prefix-sum pass.  [starts.(e)] first
+   holds the end of row [e], then serves as its cursor: each row is
+   filled backwards, over the paths in descending order, so the rows
+   come out ascending and each cursor stops at its row's start.  No
+   row has grown yet, so [links] stays empty until the first growth. *)
 let build_rows ~edge_count ~path_count ~csr_offsets ~csr_edges =
   let starts = Array.make (edge_count + 1) 0 in
   let nnz = csr_offsets.(path_count) in
   let n_used = ref 0 in
   for k = 0 to nnz - 1 do
     let e = csr_edges.(k) in
-    if starts.(e + 1) = 0 then incr n_used;
-    starts.(e + 1) <- starts.(e + 1) + 1
+    if starts.(e) = 0 then incr n_used;
+    starts.(e) <- starts.(e) + 1
   done;
   let used = Array.make !n_used 0 in
-  let u = ref 0 in
+  let u = ref 0 and ends = ref 0 in
   for e = 0 to edge_count - 1 do
-    if starts.(e + 1) > 0 then begin
+    if starts.(e) > 0 then begin
       used.(!u) <- e;
       incr u
     end;
-    starts.(e + 1) <- starts.(e + 1) + starts.(e)
+    ends := !ends + starts.(e);
+    starts.(e) <- !ends
   done;
+  starts.(edge_count) <- nnz;
   let root = Array.make (max 1 nnz) 0 in
-  let links = Array.sub starts 1 edge_count in
   for p = path_count - 1 downto 0 do
     for k = csr_offsets.(p) to csr_offsets.(p + 1) - 1 do
       let e = csr_edges.(k) in
-      links.(e) <- links.(e) - 1;
-      root.(links.(e)) <- p
+      starts.(e) <- starts.(e) - 1;
+      root.(starts.(e)) <- p
     done
   done;
-  Array.fill links 0 edge_count free;
-  ({ starts; root; links; heads = [||]; more = [||] }, used)
+  ({ starts; root; links = [||]; heads = [||]; more = [||] }, used)
 
 (* Shared table builder: everything an instance derives from an explicit
    per-commodity path-set assignment.  [create] feeds it the full
@@ -311,7 +316,11 @@ let append_rows rows store ~used ~n ~n' ~csr_offsets ~csr_edges =
     done;
     !j
   in
-  let { starts; links; heads; more; _ } = rows in
+  let { starts; heads; more; _ } = rows in
+  let links =
+    if Array.length rows.links > 0 then rows.links
+    else Array.make (Array.length starts - 1) free
+  in
   (* First pass: the rows that get a continuation, and the cells the
      new and the moved blocks take. *)
   let new_rows = ref 0 and need = ref 0 in
@@ -407,7 +416,7 @@ let append_rows rows store ~used ~n ~n' ~csr_offsets ~csr_edges =
     end;
     i := j
   done;
-  ({ rows with heads; more }, fresh, !n_fresh)
+  ({ rows with links; heads; more }, fresh, !n_fresh)
 
 (* [used] with the ascending edges [fresh.(0 .. count-1)] merged in. *)
 let merge_used used fresh count =
@@ -598,24 +607,86 @@ let local_index_of_path t p =
 
 let csr_offsets t = t.csr_offsets
 let csr_edges t = t.csr_edges
-let edge_rows t = t.rows
+(* The transpose's two readers: the rest of the library reads rows only
+   through them.  Both walk row [e] as [edge_rows] says — its root
+   segment, then its continuation block (if the row has one this
+   instance can see) up to the first path the instance does not have. *)
+
+(* The dimension check guards the unchecked reads of [f]: a row only
+   yields indices below the path count. *)
+let row_sums_into t f ~edges ~count dst =
+  let n = Array.length t.paths in
+  if Vec.dim f <> n then
+    invalid_arg "Instance.row_sums_into: vector dimension is not the path count";
+  let { starts; root; links; heads; more } = t.rows in
+  let grown = Array.length heads > 0 in
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    let acc = ref 0. in
+    for k = starts.(e) to starts.(e + 1) - 1 do
+      let fp = Vec.unsafe_get f (Array.unsafe_get root k) in
+      if fp <> 0. then acc := !acc +. fp
+    done;
+    if grown then begin
+      let h = - links.(e) - 1 in
+      if h >= 0 && h < Array.length heads then begin
+        let k = ref (Array.unsafe_get heads h) in
+        let p = ref (Array.unsafe_get more !k) in
+        while !p < n do
+          let fp = Vec.unsafe_get f !p in
+          if fp <> 0. then acc := !acc +. fp;
+          incr k;
+          p := Array.unsafe_get more !k
+        done
+      end
+    end;
+    dst.(e) <- !acc
+  done
+
+(* [found] plus one when [p] is new (recorded at [into.(found)]). *)
+let[@inline] visit ~mark ~into found p =
+  if Array.unsafe_get mark p then found
+  else begin
+    Array.unsafe_set mark p true;
+    into.(found) <- p;
+    found + 1
+  end
+
+let collect_edge_paths t ~edges ~count ~mark ~into =
+  let n = Array.length t.paths in
+  if Array.length mark < n then
+    invalid_arg "Instance.collect_edge_paths: one mark per path required";
+  let { starts; root; links; heads; more } = t.rows in
+  let grown = Array.length heads > 0 in
+  let found = ref 0 in
+  for i = 0 to count - 1 do
+    let e = edges.(i) in
+    for k = starts.(e) to starts.(e + 1) - 1 do
+      found := visit ~mark ~into !found (Array.unsafe_get root k)
+    done;
+    if grown then begin
+      let h = - links.(e) - 1 in
+      if h >= 0 && h < Array.length heads then begin
+        let k = ref (Array.unsafe_get heads h) in
+        while Array.unsafe_get more !k < n do
+          found := visit ~mark ~into !found (Array.unsafe_get more !k);
+          incr k
+        done
+      end
+    end
+  done;
+  !found
 
 let edge_paths t e =
   if e < 0 || e >= Digraph.edge_count t.graph then
     invalid_arg "Instance.edge_paths: edge out of range";
-  let n = Array.length t.paths and { starts; root; links; heads; more } = t.rows in
-  let acc =
-    ref (List.rev (Array.to_list (Array.sub root starts.(e) (starts.(e + 1) - starts.(e)))))
+  let n = Array.length t.paths in
+  let into = Array.make n 0 in
+  let found =
+    collect_edge_paths t ~edges:[| e |] ~count:1 ~mark:(Array.make n false)
+      ~into
   in
-  let h = -links.(e) - 1 in
-  if h >= 0 && h < Array.length heads then begin
-    let k = ref heads.(h) in
-    while more.(!k) < n do
-      acc := more.(!k) :: !acc;
-      incr k
-    done
-  end;
-  Array.of_list (List.rev !acc)
+  Array.sub into 0 found
 
 let shares_store a b = a.store == b.store
 let used_edges t = t.used_edges

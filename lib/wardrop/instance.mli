@@ -69,7 +69,8 @@ val extend : t -> paths:(int * Path.t) list -> t
     the chain's newest instance claims the store by an atomic
     compare-and-set and appends in place: amortized
     O(new incidences · log + used edges + paths) work, with no
-    allocation proportional to the edge count.  Extending any other
+    allocation proportional to the edge count after the chain's first
+    growth (which allocates one edge-indexed table for it).  Extending any other
     instance — a replay from a seed that has already grown, a second
     extension of one parent, or the loser of two concurrent extensions
     of one parent — copies its view into a new store first, an
@@ -132,26 +133,34 @@ val csr_edges : t -> int array
     capacity follows on a grown instance).  Shared array — do not
     mutate. *)
 
-type edge_rows = private {
-  starts : int array;
-  root : int array;
-  links : int array;
-  heads : int array;
-  more : int array;
-}
-(** The transposed (edge→path) incidence.  Row [e] lists the global
-    indices of the paths traversing edge [e] in {e ascending} order, the
-    order in which [Flow.edge_flows_into], the one load gather, sums it.
-    An instance with [n] paths reads row [e] in two parts:
-    - [root.(starts.(e)) .. root.(starts.(e+1) - 1)], all below [n];
-    - when [links.(e) = -h - 1] with [0 <= h < Array.length heads]: the
-      cells of [more] from [heads.(h)] up to, not including, the first
-      cell [>= n].
-    Shared arrays that newer instances of the chain write to, only past
-    what this instance reads — do not mutate, do not read past a row's
-    end. *)
+(** {2 The transposed (edge→path) incidence}
 
-val edge_rows : t -> edge_rows
+    Row [e] lists the global indices of the paths traversing edge [e]
+    in {e ascending} order.  Its layout (a root segment built with the
+    store, plus an append-only continuation once the row grows) stays
+    inside this module: the batch entries below are the only readers,
+    and read exactly the rows a from-scratch {!of_paths} would build. *)
+
+val row_sums_into :
+  t -> Staleroute_util.Vec.t -> edges:int array -> count:int ->
+  float array -> unit
+(** [row_sums_into t f ~edges ~count dst] sets [dst.(e)] to the sum of
+    [f] over row [e], from [0.] in ascending path index, skipping zero
+    entries, for the first [count] ids of [edges]; it allocates nothing.
+    This is the walk behind [Flow.edge_flows_into], the one load gather
+    — call that.  Raises [Invalid_argument] when [f] is not over the
+    path index. *)
+
+val collect_edge_paths :
+  t -> edges:int array -> count:int -> mark:bool array -> into:int array ->
+  int
+(** [collect_edge_paths t ~edges ~count ~mark ~into] visits the rows of
+    the first [count] ids of [edges] in that order, each row ascending,
+    and writes every visited path [p] with [mark.(p) = false] to [into]
+    from position [0], setting [mark.(p)]; it returns how many it
+    wrote and allocates nothing.  The caller clears the marks.  With
+    every mark false and [into] one slot per path it cannot overflow.
+    Raises [Invalid_argument] when [mark] has fewer cells than paths. *)
 
 val edge_paths : t -> int -> int array
 (** Row [e] of the transpose as a fresh array: the paths traversing

@@ -499,6 +499,31 @@ let test_older_boards_read_their_own_bits () =
       check_true "fork still its reference" (matches_reference inst fork ~time:9. g))
     [ 300; 5 ]
 
+(* Latencies read off an older board of the family are the family's
+   cells; handed back to [repost ~edge_latencies] from the newest board
+   they must post the older board's bits, not the newest's. *)
+let test_repost_older_board_latencies () =
+  let inst = Common.parallel 300 in
+  let r = rng ~seed:3 () in
+  let f0 = Flow.uniform inst in
+  let f1 = transfer inst r f0 in
+  let f2 = transfer inst r f1 in
+  let delta = Bulletin_board.delta () in
+  let b0 = Bulletin_board.post inst ~time:0. f0 in
+  let b1 = Bulletin_board.repost ~delta inst ~prev:b0 ~time:1. f1 in
+  let b2 = Bulletin_board.repost ~delta inst ~prev:b1 ~time:2. f2 in
+  let old = posted_edges b0 in
+  check_true "the boards differ" (not (arr_bits_equal old (posted_edges b2)));
+  let b3 =
+    Bulletin_board.repost ~delta
+      ~edge_latencies:(Bulletin_board.edge_latencies b0)
+      inst ~prev:b2 ~time:3. f2
+  in
+  check_true "posts the older board's latencies"
+    (matches_reference ~edge_latencies:old inst b3 ~time:3. f2);
+  check_true "older board unchanged" (matches_reference inst b0 ~time:0. f0);
+  check_true "newest line unchanged" (matches_reference inst b2 ~time:2. f2)
+
 (* Per-phase edge work follows the used edges, not the graph.  Graphs A
    and B are one small DAG with every edge repeated 8 and 16 times (the
    repeats are never used), so both carry the same paths over the same
@@ -600,4 +625,6 @@ let suite =
     case "older boards read their own bits"
       test_older_boards_read_their_own_bits;
     case "edge work flat in the edge count" test_edge_work_flat_in_edge_count;
+    case "repost with an older board's latencies"
+      test_repost_older_board_latencies;
   ]
